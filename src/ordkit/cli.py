@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Sequence
 
@@ -79,7 +78,10 @@ def _read_source(args, attr: str = "input", file_attr: str = "file") -> str:
     if inline is not None and path is not None:
         raise ParseError("give exactly one input source, not both --input and --file")
     if path is not None:
-        return Path(path).read_text().strip()
+        try:
+            return Path(path).read_text().strip()
+        except OSError as exc:
+            raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     if inline is None:
         raise ParseError("missing input: use --input or --file")
     return inline
@@ -104,15 +106,7 @@ def _squarefree_from(text: str) -> edgerings.SquarefreeIdeal:
 
 def _cmd_preorder_enumerate(args) -> int:
     n = args.n
-    if args.jobs > 1:
-        parts = relations.first_rows(n)
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = pool.map(
-                lambda row: list(relations.enumerate_preorders(n, first_row=row)), parts
-            )
-            stream = [p for chunk in chunks for p in chunk]
-    else:
-        stream = list(relations.enumerate_preorders(n))
+    stream = list(relations.enumerate_preorders(n))
     if args.count:
         sys.stdout.write(f"{len(stream)}\n")
         return 0
@@ -205,15 +199,7 @@ def _cmd_topology_to_preorder(args) -> int:
 
 def _cmd_topology_enumerate(args) -> int:
     n = args.n
-    if args.jobs > 1:
-        keys = topology.topology_branches(n)
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = pool.map(
-                lambda key: list(topology.enumerate_topologies(n, branch=key)), keys
-            )
-            stream = [t for chunk in chunks for t in chunk]
-    else:
-        stream = list(topology.enumerate_topologies(n))
+    stream = list(topology.enumerate_topologies(n))
     if args.count:
         sys.stdout.write(f"{len(stream)}\n")
         return 0
@@ -626,7 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = pre.add_parser("enumerate")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--count", action="store_true")
-    sub.add_argument("--jobs", type=int, default=1)
     sub.set_defaults(handler=_cmd_preorder_enumerate)
     for name, handler in [
         ("classify", _cmd_preorder_classify),
@@ -652,7 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = topo.add_parser("enumerate")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--count", action="store_true")
-    sub.add_argument("--jobs", type=int, default=1)
     sub.set_defaults(handler=_cmd_topology_enumerate)
     sub = topo.add_parser("t0")
     _add_input_options(sub, with_no_close=False)

@@ -8,6 +8,14 @@ from typing import Iterator
 from .errors import OrdkitError
 from .relations import Preorder, Relation, closure
 
+MAX_VERTICES = 1 << 16
+
+
+def check_vertex_count(n: int) -> None:
+    """Reject a vertex count outside 0..MAX_VERTICES before anything is built for it."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise OrdkitError("digraph-paths", "digraph", f"vertex count {n} outside 0..{MAX_VERTICES}")
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -24,8 +32,7 @@ class Digraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise OrdkitError("digraph-paths", "digraph", "negative vertex count")
+        check_vertex_count(self.n)
         labels = set()
         for e in self.edges:
             if not (0 <= e.src < self.n and 0 <= e.dst < self.n):
@@ -40,17 +47,29 @@ class Digraph:
         return [e for e in self.edges if e.src == v]
 
     def has_cycle(self) -> bool:
+        """Three-colour depth-first search with an explicit stack."""
+        succ: list[list[int]] = [[] for _ in range(self.n)]
+        for e in self.edges:
+            succ[e.src].append(e.dst)
         color = [0] * self.n
-
-        def visit(v: int) -> bool:
-            color[v] = 1
-            for e in self.out_edges(v):
-                if color[e.dst] == 1 or (color[e.dst] == 0 and visit(e.dst)):
-                    return True
-            color[v] = 2
-            return False
-
-        return any(color[v] == 0 and visit(v) for v in range(self.n))
+        for root in range(self.n):
+            if color[root]:
+                continue
+            color[root] = 1
+            stack = [(root, iter(succ[root]))]
+            while stack:
+                v, todo = stack[-1]
+                for w in todo:
+                    if color[w] == 1:
+                        return True
+                    if color[w] == 0:
+                        color[w] = 1
+                        stack.append((w, iter(succ[w])))
+                        break
+                else:
+                    color[v] = 2
+                    stack.pop()
+        return False
 
 
 @dataclass(frozen=True)

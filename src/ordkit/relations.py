@@ -8,7 +8,6 @@ quotients and Hom-sets are then word-parallel row operations.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -38,6 +37,12 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def check_point_count(n: int) -> None:
+    """Reject a carrier size outside 1..MAX_POINTS before anything is built for it."""
+    if not 1 <= n <= MAX_POINTS:
+        raise OrdkitError("order-core", "relation", f"point count {n} outside 1..{MAX_POINTS}")
+
+
 @dataclass(frozen=True)
 class Relation:
     """A binary relation on ``n`` points with no order axioms assumed."""
@@ -46,10 +51,7 @@ class Relation:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_POINTS:
-            raise OrdkitError(
-                "order-core", "relation", f"point count {self.n} outside 1..{MAX_POINTS}"
-            )
+        check_point_count(self.n)
         if len(self.rows) != self.n:
             raise OrdkitError(
                 "order-core", "relation", f"expected {self.n} rows, got {len(self.rows)}"
@@ -284,19 +286,12 @@ def decode(n: int, code: int) -> Preorder:
     return Preorder(Relation(n, tuple(_string_key(k, n) for k in reversed(keys))))
 
 
-def _transitive(rows: Sequence[int]) -> bool:
-    for row in rows:
-        for y in _bits(row):
-            if rows[y] & ~row:
-                return False
-    return True
-
-
-def enumerate_preorders(n: int, first_row: int | None = None) -> Iterator[Preorder]:
+def enumerate_preorders(n: int) -> Iterator[Preorder]:
     """Every preorder on n labeled points, ascending in the packed encoding.
 
-    ``first_row`` restricts the stream to one row-0 value, which partitions
-    the search space for data-parallel counting.
+    Rows are assigned in order, each drawn from its candidates in ascending
+    string order, and a candidate is rejected as soon as it breaks
+    transitivity against an assigned row.
     """
     cap = _env_cap(ENUMERATION_CAP)
     if not 1 <= n <= cap:
@@ -305,16 +300,22 @@ def enumerate_preorders(n: int, first_row: int | None = None) -> Iterator[Preord
         sorted((m for m in range(1 << n) if m >> x & 1), key=lambda m: _string_key(m, n))
         for x in range(n)
     ]
-    if first_row is not None:
-        choices[0] = [first_row] if first_row >> 0 & 1 else []
-    for rows in itertools.product(*choices):
-        if _transitive(rows):
-            yield Preorder(Relation(n, rows))
+    rows = [0] * n
 
+    def extend(k: int) -> Iterator[Preorder]:
+        if k == n:
+            yield Preorder(Relation(n, tuple(rows)))
+            return
+        above = [rows[x] for x in range(k) if rows[x] >> k & 1]
+        for r in choices[k]:
+            if any(r & ~row for row in above):
+                continue
+            if any(rows[y] & ~r for y in _bits(r & ((1 << k) - 1))):
+                continue
+            rows[k] = r
+            yield from extend(k + 1)
 
-def first_rows(n: int) -> list[int]:
-    """Row-0 values in enumeration order; the partition keys for --jobs."""
-    return sorted((m for m in range(1 << n) if m & 1), key=lambda m: _string_key(m, n))
+    yield from extend(0)
 
 
 def relabel(p: Preorder, perm: Sequence[int]) -> Preorder:
@@ -327,12 +328,71 @@ def relabel(p: Preorder, perm: Sequence[int]) -> Preorder:
 
 
 def canonical_form(p: Preorder) -> int:
-    """Minimum packed encoding over all relabelings."""
-    if p.n > CANONICAL_CAP:
+    """Minimum packed encoding over all relabelings.
+
+    Label i is searched over an ordered partition of the unlabelled points.
+    Rows 0..i-1 are fixed by the partition, and row i is smallest when its
+    point comes from the first cell and every cell lists the points outside
+    its up-set first, so only the points that tie for that row are tried.
+    Each choice splits every cell by its up-set.  A branch whose rows exceed
+    the best prefix found is cut, and a tied point is skipped when swapping
+    it with one already tried is an automorphism fixing the labelled points
+    and the cells.
+    """
+    n = p.n
+    if n > CANONICAL_CAP:
         raise OrdkitError(
-            "order-core", "canonical_form", f"n={p.n} exceeds factorial-search guard {CANONICAL_CAP}"
+            "order-core", "canonical_form", f"n={n} exceeds factorial-search guard {CANONICAL_CAP}"
         )
-    return min(encode(relabel(p, perm)) for perm in itertools.permutations(range(p.n)))
+    up = p.rows
+    down = [sum(1 << x for x in range(n) if up[x] >> y & 1) for y in range(n)]
+    order: list[int] = []
+    best: int | None = None
+
+    def twins(a: int, b: int) -> bool:
+        # Points that tie for a row already relate to each other the same
+        # way, so equal up- and down-sets outside the pair make the swap an
+        # automorphism.
+        rest = ~(1 << a | 1 << b)
+        return (up[a] ^ up[b]) & rest == 0 and (down[a] ^ down[b]) & rest == 0
+
+    def row_of(b: int, cells: list[int]) -> int:
+        row = 0
+        for x in order:
+            row = row << 1 | up[b] >> x & 1
+        row = row << 1 | 1
+        for cell in cells:
+            cell &= ~(1 << b)
+            row = row << cell.bit_count() | (1 << (up[b] & cell).bit_count()) - 1
+        return row
+
+    def search(cells: list[int], code: int) -> None:
+        nonlocal best
+        i = len(order)
+        if i == n:
+            if best is None or code < best:
+                best = code
+            return
+        rows = {b: row_of(b, cells) for b in _bits(cells[0])}
+        low = min(rows.values())
+        code = code << n | low
+        if best is not None and code > best >> n * (n - i - 1):
+            return
+        tried: list[int] = []
+        for b, row in rows.items():
+            if row != low or any(twins(b, t) for t in tried):
+                continue
+            tried.append(b)
+            split = []
+            for cell in cells:
+                cell &= ~(1 << b)
+                split += [part for part in (cell & ~up[b], cell & up[b]) if part]
+            order.append(b)
+            search(split, code)
+            order.pop()
+
+    search([(1 << n) - 1], 0)
+    return best
 
 
 def are_isomorphic(p: Preorder, q: Preorder) -> bool:

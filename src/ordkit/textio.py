@@ -12,12 +12,12 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from .digraphs import Digraph, Edge
+from .digraphs import Digraph, Edge, check_vertex_count
 from .edgerings import BipartiteGraph, NamedIdeal, SimpleGraph
 from .errors import OrdkitError
 from .monomials import Monomial
 from .patterns import RationalMatrix
-from .relations import Preorder, Relation, _bits, bubbles, closure
+from .relations import Preorder, Relation, _bits, bubbles, check_point_count, closure
 from .topology import FiniteTopology
 
 
@@ -56,12 +56,14 @@ def default_point_names(n: int) -> tuple[str, ...]:
     Small carriers follow the usual hand-drawn conventions: {v, w} for two
     points and {x, y, z} for three.
     """
+    check_point_count(n)
     table = {1: ("x",), 2: ("v", "w"), 3: ("x", "y", "z")}
-    return table.get(n, tuple(f"p{i}" for i in range(n)))
+    return table[n] if n in table else tuple(f"p{i}" for i in range(n))
 
 
 def default_vertex_names(n: int) -> tuple[str, ...]:
     """Digraph vertices default to a, b, c, ..."""
+    check_vertex_count(n)
     if n <= 26:
         return tuple(chr(ord("a") + i) for i in range(n))
     return tuple(f"p{i}" for i in range(n))

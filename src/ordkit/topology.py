@@ -107,20 +107,14 @@ def _close(family: frozenset[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def topology_branches(n: int) -> list[int]:
-    """Top-level branch keys (0 = the indiscrete root) for data-parallel runs."""
-    return [0] + list(range(1, (1 << n) - 1))
-
-
-def enumerate_topologies(n: int, branch: int | None = None) -> Iterator[FiniteTopology]:
+def enumerate_topologies(n: int) -> Iterator[FiniteTopology]:
     """Every topology on n labeled points, grown directly as closed families.
 
     Families are built by adding masks in ascending order and closing under
     union and intersection; a branch is kept only when the added mask is the
     smallest new member, which makes each family appear exactly once.  This
     stays independent of the preorder enumeration so the two can be played
-    against each other.  ``branch`` restricts the stream to one top-level
-    subtree from :func:`topology_branches`.
+    against each other.
     """
     cap = _env_cap(TOPOLOGY_ENUMERATION_CAP)
     if not 1 <= n <= cap:
@@ -139,13 +133,4 @@ def enumerate_topologies(n: int, branch: int | None = None) -> Iterator[FiniteTo
             if min(grown - family) == mask:
                 yield from grow(grown, mask)
 
-    if branch is None:
-        yield from grow(base, 0)
-    elif branch == 0:
-        yield FiniteTopology(n, tuple(sorted(base)))
-    else:
-        if branch in base:
-            return
-        grown = _close(base | {branch})
-        if min(grown - base) == branch:
-            yield from grow(grown, branch)
+    yield from grow(base, 0)

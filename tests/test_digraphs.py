@@ -91,6 +91,12 @@ class TestPaths:
         assert words(hom_paths(triangle, 0, 0)) == ["1_0"]
         assert hom_paths(triangle, 2, 0) == []
 
+    def test_cycle_check_on_long_chain_needs_no_recursion(self):
+        n = 2000
+        chain = tuple(Edge(v, v + 1, f"e{v}") for v in range(n - 1))
+        assert not Digraph(n, chain).has_cycle()
+        assert Digraph(n, chain + (Edge(n - 1, 0, "back"),)).has_cycle()
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(OrdkitError, match="duplicate"):
             Digraph(2, (Edge(0, 1, "e"), Edge(0, 1, "e")))

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,13 +20,13 @@ from ordkit.relations import (
     encode,
     decode,
     enumerate_preorders,
-    first_rows,
     monotone_maps,
     refines,
     relabel,
     truncated_chain_map,
     up_sets,
 )
+from tests import oracles
 
 
 def all_relations(n):
@@ -242,12 +243,9 @@ class TestEnumeration:
             list(enumerate_preorders(3))
         assert sum(1 for _ in enumerate_preorders(2)) == 4
 
-    def test_partition_by_first_row_merges_to_full_stream(self):
-        full = list(enumerate_preorders(3))
-        merged = [
-            p for row in first_rows(3) for p in enumerate_preorders(3, first_row=row)
-        ]
-        assert merged == full
+    def test_stream_matches_product_filter_oracle(self):
+        for n in range(1, 6):
+            assert list(enumerate_preorders(n)) == list(oracles.enumerate_preorders(n))
 
 
 class TestCanonicalForm:
@@ -281,6 +279,50 @@ class TestCanonicalForm:
     def test_guard_rejects_large_carriers(self):
         with pytest.raises(OrdkitError, match="canonical_form"):
             canonical_form(Preorder.discrete(9))
+
+    def test_matches_brute_force_on_every_preorder_up_to_five_points(self):
+        for n in range(1, 6):
+            forms: dict[int, int] = {}
+            for p in enumerate_preorders(n):
+                if encode(p) not in forms:
+                    orbit = oracles.orbit(p)
+                    forms.update(dict.fromkeys(orbit, min(orbit)))
+                assert canonical_form(p) == forms[encode(p)]
+
+    def test_matches_brute_force_on_seeded_random_preorders(self):
+        rng = random.Random(2002)
+        for n in (6, 7, 8, 6, 7, 8, 6, 7, 6, 7):
+            rows = [(1 << n) - 1] * n
+            for _ in range(rng.randint(1, 3)):
+                rows = [row & rng.getrandbits(n) for row in rows]
+            p = closure(Relation(n, tuple(rows)))
+            assert canonical_form(p) == oracles.canonical_form(p), p.rows
+
+    def test_matches_brute_force_on_symmetric_eight_point_preorders(self):
+        def chain_product(a, b):
+            return Preorder.from_pairs(
+                a * b,
+                [
+                    (i * b + j, k * b + m)
+                    for i, j, k, m in itertools.product(range(a), range(b), range(a), range(b))
+                    if i <= k and j <= m
+                ],
+            )
+
+        family = {
+            "discrete": Preorder.discrete(8),
+            "coarse": Preorder.coarse(8),
+            "chain": Preorder.chain(8),
+            "4x2 chains": chain_product(4, 2),
+            "crown": Preorder.from_pairs(8, [(i, 4 + j) for i in range(4) for j in range(4) if i != j]),
+            "K4,4": Preorder.from_pairs(8, [(i, 4 + j) for i in range(4) for j in range(4)]),
+            "four bubbles": Preorder.from_pairs(8, [(x, x ^ 1) for x in range(8)]),
+        }
+        perm = list(range(8))
+        random.Random(16).shuffle(perm)
+        for name, p in family.items():
+            expected = oracles.canonical_form(p)
+            assert canonical_form(p) == canonical_form(relabel(p, perm)) == expected, name
 
 
 class TestMonotoneMaps:

@@ -10,7 +10,6 @@ from ordkit.topology import (
     is_t0,
     minimal_open,
     to_preorder,
-    topology_branches,
     validate,
 )
 
@@ -146,15 +145,6 @@ class TestEnumeration:
         monkeypatch.setenv("ORDKIT_MAX_N", "2")
         with pytest.raises(OrdkitError):
             list(enumerate_topologies(3))
-
-    def test_branches_partition_the_stream(self):
-        full = [t.opens for t in enumerate_topologies(3)]
-        merged = [
-            t.opens
-            for key in topology_branches(3)
-            for t in enumerate_topologies(3, branch=key)
-        ]
-        assert merged == full
 
 
 class TestT0:
