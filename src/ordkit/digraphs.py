@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import OrdkitError
-from .relations import Preorder, Relation, closure
+from .relations import MAX_POINTS, Preorder, Relation, closure
 
 MAX_VERTICES = 1 << 16
 
@@ -140,6 +140,10 @@ def hom_paths(q: Digraph, a: int, b: int, limit: int | None = None) -> list[Path
 
 def reachability_preorder(q: Digraph) -> Preorder:
     """x <= y when some (possibly empty) path runs from x to y."""
+    if not 1 <= q.n <= MAX_POINTS:
+        raise OrdkitError(
+            "digraph-paths", "reachability_preorder", f"point count {q.n} outside 1..{MAX_POINTS}"
+        )
     return closure(Relation.from_pairs(q.n, [(e.src, e.dst) for e in q.edges]))
 
 

@@ -8,12 +8,11 @@ in rendered output.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import OrdkitError
-from .monomials import MonomialIdeal, contains, minimalize
+from .monomials import Monomial, MonomialIdeal, minimalize
 from .relations import (
     MonotoneMap,
     Preorder,
@@ -165,22 +164,41 @@ def quotient_identify(ideal: SquarefreeIdeal) -> NamedIdeal:
 
 
 def kdim_artinian(ideal: MonomialIdeal, names: Sequence[str] | None = None) -> int:
-    """Count the monomials outside an artinian ideal by bounded enumeration."""
-    bounds = []
+    """Count the monomials outside an artinian ideal by slicing on the last variable."""
     for v in range(ideal.nvars):
-        power = next(
-            (g[v] for g in ideal.gens if g[v] > 0 and all(e == 0 for i, e in enumerate(g) if i != v)),
-            None,
-        )
-        if power is None:
+        if not any(g[v] > 0 and all(e == 0 for i, e in enumerate(g) if i != v) for g in ideal.gens):
             label = names[v] if names is not None else f"x{v}"
             raise OrdkitError(
                 "edge-rings", "kdim_artinian", f"not artinian: no pure power of variable {label}"
             )
-        bounds.append(power)
-    return sum(
-        1 for m in itertools.product(*(range(b) for b in bounds)) if not contains(ideal, m)
-    )
+    if ideal.nvars == 0:
+        return 0 if ideal.gens else 1
+    return _standard_count(ideal.nvars, ideal.gens)
+
+
+def _standard_count(nvars: int, gens: Sequence[Monomial]) -> int:
+    """Standard monomials of an artinian ideal in ``nvars >= 1`` variables.
+
+    Between consecutive exponents of the last variable the slice ideal in the
+    other variables, generated by the heads of the generators at or below
+    that exponent, is constant: each interval adds its width times the
+    slice's count.  The pure power of the last variable has a zero head, and
+    from there on the slice contains 1.
+    """
+    if nvars == 1:
+        return min(g[0] for g in gens)
+    last = nvars - 1
+    order = sorted(gens, key=lambda g: g[last])
+    total = 0
+    heads: list[Monomial] = []
+    for g, after in zip(order, order[1:]):
+        heads.append(g[:last])
+        if not any(heads[-1]):
+            break
+        width = after[last] - g[last]
+        if width:
+            total += width * _standard_count(last, heads)
+    return total
 
 
 def antichain_dimension(order: Preorder) -> int:
@@ -314,7 +332,11 @@ def alexander_dual(ideal: SquarefreeIdeal) -> SquarefreeIdeal:
     """Minimal transversals of the generator supports, over the same ground set.
 
     Equivalently the generators of the intersection of the variable primes
-    spanned by each support.
+    spanned by each support.  Berge's sequential algorithm: fold in one
+    support at a time; each transversal that misses it grows by each of its
+    variables, and a grown one is kept unless a transversal that already hit
+    the support lies inside it.  Nothing else can: the earlier transversals
+    form an antichain, so the result stays minimal without a pairwise scan.
     """
     if ideal.ideal.is_zero:
         raise OrdkitError("edge-rings", "alexander_dual", "the zero ideal has no dual here")
@@ -324,17 +346,11 @@ def alexander_dual(ideal: SquarefreeIdeal) -> SquarefreeIdeal:
         universe |= s
     if bin(universe).count("1") > DUAL_GROUND_CAP:
         raise OrdkitError("edge-rings", "alexander_dual", f"support union exceeds guard {DUAL_GROUND_CAP}")
-    positions = list(_bits(universe))
-    hitting = []
-    for choice in range(1 << len(positions)):
-        mask = 0
-        for k in _bits(choice):
-            mask |= 1 << positions[k]
-        if all(mask & s for s in supports):
-            hitting.append(mask)
-    minimal = [
-        m for m in hitting if all(not (h != m and h & ~m == 0) for h in hitting)
-    ]
+    transversals = [0]
+    for s in supports:
+        hit = [t for t in transversals if t & s]
+        grown = [t | 1 << v for t in transversals if not t & s for v in _bits(s)]
+        transversals = hit + [m for m in grown if not any(h & ~m == 0 for h in hit)]
     n = len(ideal.ground)
-    gens = [tuple(1 if mask >> i & 1 else 0 for i in range(n)) for mask in minimal]
-    return SquarefreeIdeal(ideal.ground, minimalize(n, gens))
+    gens = sorted(tuple(mask >> i & 1 for i in range(n)) for mask in transversals)
+    return SquarefreeIdeal(ideal.ground, MonomialIdeal._trusted(n, tuple(gens)))

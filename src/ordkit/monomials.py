@@ -35,6 +35,19 @@ def degree(m: Monomial) -> int:
     return sum(m)
 
 
+def _check_gens(nvars: int, gens: Iterable[Monomial]) -> None:
+    """Reject a negative variable count, then any generator of the wrong length or sign."""
+    if nvars < 0:
+        raise OrdkitError("monomial-ideals", "ideal", "negative variable count")
+    for g in gens:
+        if len(g) != nvars:
+            raise OrdkitError(
+                "monomial-ideals", "ideal", f"generator {g} has wrong length for {nvars} variables"
+            )
+        if any(e < 0 for e in g):
+            raise OrdkitError("monomial-ideals", "ideal", f"negative exponent in {g}")
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A minimal generating set, deduplicated and sorted for determinism."""
@@ -43,21 +56,21 @@ class MonomialIdeal:
     gens: tuple[Monomial, ...]
 
     def __post_init__(self):
-        if self.nvars < 0:
-            raise OrdkitError("monomial-ideals", "ideal", "negative variable count")
-        for g in self.gens:
-            if len(g) != self.nvars:
-                raise OrdkitError(
-                    "monomial-ideals", "ideal", f"generator {g} has wrong length for {self.nvars} variables"
-                )
-            if any(e < 0 for e in g):
-                raise OrdkitError("monomial-ideals", "ideal", f"negative exponent in {g}")
+        _check_gens(self.nvars, self.gens)
         if tuple(sorted(set(self.gens))) != self.gens:
             raise OrdkitError("monomial-ideals", "ideal", "generators must be sorted and distinct")
         for a in self.gens:
             for b in self.gens:
                 if a != b and divides(a, b):
                     raise OrdkitError("monomial-ideals", "ideal", f"generator {a} divides {b}")
+
+    @classmethod
+    def _trusted(cls, nvars: int, gens: tuple[Monomial, ...]) -> "MonomialIdeal":
+        """Wrap generators already known to be valid, sorted, distinct and an antichain."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "nvars", nvars)
+        object.__setattr__(ideal, "gens", gens)
+        return ideal
 
     @property
     def is_zero(self) -> bool:
@@ -68,10 +81,20 @@ class MonomialIdeal:
 
 
 def minimalize(nvars: int, gens: Iterable[Monomial]) -> MonomialIdeal:
-    """Divisibility-minimal antichain generating the same ideal."""
+    """Divisibility-minimal antichain generating the same ideal.
+
+    A proper divisor has strictly lower degree, so scanning in ascending
+    degree and testing each monomial against the kept ones of lower degree
+    finds every redundant one: a divisor that was dropped has a kept divisor
+    of its own, which divides the monomial too.
+    """
     pool = sorted(set(tuple(g) for g in gens))
-    kept = [g for g in pool if not any(h != g and divides(h, g) for h in pool)]
-    return MonomialIdeal(nvars, tuple(kept))
+    _check_gens(nvars, pool)
+    kept: list[Monomial] = []
+    for _, group in itertools.groupby(sorted(pool, key=degree), key=degree):
+        below = tuple(kept)
+        kept.extend(g for g in group if not any(divides(h, g) for h in below))
+    return MonomialIdeal._trusted(nvars, tuple(sorted(kept)))
 
 
 def contains(ideal: MonomialIdeal, m: Monomial) -> bool:

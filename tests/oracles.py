@@ -1,4 +1,5 @@
-"""Brute-force reference implementations that the pruned searches replace.
+"""Brute-force reference implementations that the pruned searches and the
+output-sensitive ideal kernels replace.
 
 Each one is the plain generate-and-filter definition, kept only so tests
 can compare the fast versions in ``ordkit`` against it.
@@ -9,6 +10,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
+from ordkit.edgerings import SquarefreeIdeal
+from ordkit.errors import OrdkitError
+from ordkit.monomials import MonomialIdeal, contains, divides
 from ordkit.relations import Preorder, Relation, _bits, _string_key
 
 
@@ -50,3 +54,41 @@ def orbit(p: Preorder) -> set[int]:
 def canonical_form(p: Preorder) -> int:
     """Minimum packed encoding over all n! relabelings."""
     return min(orbit(p))
+
+
+def minimalize(nvars: int, gens) -> MonomialIdeal:
+    """Drop every generator that another one divides, by a pairwise scan."""
+    pool = sorted(set(tuple(g) for g in gens))
+    kept = [g for g in pool if not any(h != g and divides(h, g) for h in pool)]
+    return MonomialIdeal(nvars, tuple(kept))
+
+
+def alexander_dual(ideal: SquarefreeIdeal) -> SquarefreeIdeal:
+    """Every subset of the support union that hits all supports, filtered for minimality."""
+    if ideal.ideal.is_zero:
+        raise OrdkitError("edge-rings", "alexander_dual", "the zero ideal has no dual here")
+    supports = ideal.supports()
+    universe = 0
+    for s in supports:
+        universe |= s
+    positions = list(_bits(universe))
+    hitting = []
+    for choice in range(1 << len(positions)):
+        mask = 0
+        for k in _bits(choice):
+            mask |= 1 << positions[k]
+        if all(mask & s for s in supports):
+            hitting.append(mask)
+    minimal = [m for m in hitting if all(not (h != m and h & ~m == 0) for h in hitting)]
+    n = len(ideal.ground)
+    gens = [tuple(1 if mask >> i & 1 else 0 for i in range(n)) for mask in minimal]
+    return SquarefreeIdeal(ideal.ground, minimalize(n, gens))
+
+
+def kdim_artinian(ideal: MonomialIdeal) -> int:
+    """Scan the box below the pure powers for monomials outside the ideal."""
+    bounds = [
+        min(g[v] for g in ideal.gens if g[v] > 0 and not any(e for i, e in enumerate(g) if i != v))
+        for v in range(ideal.nvars)
+    ]
+    return sum(1 for m in itertools.product(*(range(b) for b in bounds)) if not contains(ideal, m))

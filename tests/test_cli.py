@@ -123,6 +123,12 @@ class TestDigraphCommands:
         doc = parse_document(out)
         assert doc["pairs"] == [["a", "b"], ["a", "c"], ["b", "c"]]
 
+    def test_reachability_preorder_point_count_is_its_own_error(self, capsys):
+        for text, n in [("n=0", 0), ("n=17; edges: a->b", 17)]:
+            code, out, err = run(capsys, "digraph", "preorder", "--input", text)
+            assert (code, out) == (1, "")
+            assert err == f"ERR digraph-paths.reachability_preorder: point count {n} outside 1..16\n"
+
     def test_render_dot(self, capsys):
         code, out, _ = run(capsys, "digraph", "render", "--input", self.EXAMPLE)
         assert code == 0 and out.startswith("digraph g {")
@@ -301,6 +307,28 @@ class TestGraphCommands:
     def test_dual(self, capsys):
         _, out, _ = run(capsys, "graph", "dual", "--gens", "a*b, b*c, c*d")
         assert parse_document(out)["generators"] == ["b*d", "b*c", "a*c"]
+
+    def test_dim_of_huge_pure_powers_finishes(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "from ordkit.cli import entrypoint; entrypoint()",
+             "graph", "dim", "--gens", "x^100000,y^100000"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env={**os.environ, "PYTHONPATH": str(Path(ordkit.__file__).parents[1])},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert parse_document(proc.stdout)["value"] == 10000000000
+
+    def test_dim_and_dual_of_the_zero_variable_unit_ideal(self, capsys):
+        code, out, err = run(capsys, "graph", "dim", "--gens", "1")
+        assert (code, err) == (0, "")
+        assert parse_document(out) == {"kind": "quotient-dimension", "value": 0}
+        code, out, err = run(capsys, "graph", "dual", "--gens", "1")
+        assert (code, err) == (0, "")
+        assert parse_document(out) == {
+            "exponents": [], "generators": [], "kind": "ideal", "text": "", "vars": []
+        }
 
 
 class TestGaloisCommand:
