@@ -22,7 +22,7 @@ from .digraphs import (
 )
 from .errors import OrdkitError
 from .relations import MonotoneMap, Preorder
-from .textio import ParseError, document_text
+from .textio import ParseError, document_text  # noqa: F401  (stays importable from ordkit.cli)
 
 
 # ---------------------------------------------------------------- documents
@@ -65,7 +65,7 @@ def _value_doc(kind: str, value, **extra) -> dict:
 
 
 def _emit(doc) -> int:
-    sys.stdout.write(document_text(doc))
+    textio.write_document(doc, sys.stdout)
     return 0
 
 

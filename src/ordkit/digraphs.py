@@ -43,14 +43,9 @@ class Digraph:
                 raise OrdkitError("digraph-paths", "digraph", f"duplicate edge label {e.label!r}")
             labels.add(e.label)
 
-    def out_edges(self, v: int) -> list[Edge]:
-        return [e for e in self.edges if e.src == v]
-
     def has_cycle(self) -> bool:
         """Three-colour depth-first search with an explicit stack."""
-        succ: list[list[int]] = [[] for _ in range(self.n)]
-        for e in self.edges:
-            succ[e.src].append(e.dst)
+        succ = [[e.dst for e in out] for out in _out_edges(self)]
         color = [0] * self.n
         for root in range(self.n):
             if color[root]:
@@ -70,6 +65,14 @@ class Digraph:
                     color[v] = 2
                     stack.pop()
         return False
+
+
+def _out_edges(q: Digraph) -> list[list[Edge]]:
+    """Each vertex's outgoing edges, in edge order."""
+    out: list[list[Edge]] = [[] for _ in range(q.n)]
+    for e in q.edges:
+        out[e.src].append(e)
+    return out
 
 
 @dataclass(frozen=True)
@@ -109,33 +112,79 @@ def compose(a: Path, b: Path) -> Path:
     return Path(a.start, a.edges + b.edges)
 
 
-def paths_up_to_length(q: Digraph, limit: int) -> list[Path]:
-    """All paths with at most ``limit`` edges, one empty path per vertex first."""
+def _check_bound(limit: int) -> None:
     if limit < 0:
         raise OrdkitError("digraph-paths", "paths", "negative length bound")
-    layer = [Path(v, ()) for v in range(q.n)]
-    out = list(layer)
-    for _ in range(limit):
-        layer = [Path(p.start, p.edges + (e,)) for p in layer for e in q.out_edges(p.end)]
-        out.extend(layer)
-        if not layer:
-            break
-    return out
 
 
-def all_paths(q: Digraph) -> list[Path]:
-    """The complete morphism set of the free category; acyclic inputs only."""
+def _check_acyclic(q: Digraph) -> None:
     if q.has_cycle():
         raise OrdkitError(
             "digraph-paths", "paths", "directed cycle found: the free category has infinitely many paths"
         )
+
+
+def _grow(q: Digraph, layer: list[Path], limit: int, dist: list) -> list[Path]:
+    """``layer`` and its extensions by up to ``limit`` edges, layer after layer.
+
+    A path grows by each edge out of its end, in edge order, whose head can
+    still reach a target with the edges left: ``dist[v]`` is the length of a
+    shortest path from v to a target, and 0 everywhere keeps every path.
+    """
+    out_edges = _out_edges(q)
+    found = list(layer)
+    for left in range(limit - 1, -1, -1):
+        layer = [
+            Path(p.start, p.edges + (e,)) for p in layer for e in out_edges[p.end] if dist[e.dst] <= left
+        ]
+        if not layer:
+            break
+        found.extend(layer)
+    return found
+
+
+def paths_up_to_length(q: Digraph, limit: int) -> list[Path]:
+    """All paths with at most ``limit`` edges, one empty path per vertex first."""
+    _check_bound(limit)
+    return _grow(q, [Path(v, ()) for v in range(q.n)], limit, [0] * q.n)
+
+
+def all_paths(q: Digraph) -> list[Path]:
+    """The complete morphism set of the free category; acyclic inputs only."""
+    _check_acyclic(q)
     return paths_up_to_length(q, max(q.n - 1, 0))
 
 
 def hom_paths(q: Digraph, a: int, b: int, limit: int | None = None) -> list[Path]:
-    """Paths from a to b, length-bounded or complete (acyclic only) when limit is None."""
-    pool = all_paths(q) if limit is None else paths_up_to_length(q, limit)
-    return [p for p in pool if p.start == a and p.end == b]
+    """Paths from a to b, length-bounded or complete (acyclic only) when limit is None.
+
+    Listed by length, each length in ``paths_up_to_length`` order.  Only the
+    paths from ``a`` are grown, and only through edges whose head reaches
+    ``b`` within the edges left, by the distances of a reverse breadth-first
+    search from ``b``.
+    """
+    if limit is None:
+        _check_acyclic(q)
+        limit = max(q.n - 1, 0)
+    _check_bound(limit)
+    if not (0 <= a < q.n and 0 <= b < q.n):
+        return []
+    into: list[list[int]] = [[] for _ in range(q.n)]
+    for e in q.edges:
+        into[e.dst].append(e.src)
+    far = float("inf")
+    dist = [far] * q.n
+    dist[b] = 0
+    frontier = [b]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in into[v]:
+                if dist[u] == far:
+                    dist[u] = dist[v] + 1
+                    nxt.append(u)
+        frontier = nxt
+    return [p for p in _grow(q, [Path(a, ())], limit, dist) if p.end == b]
 
 
 def reachability_preorder(q: Digraph) -> Preorder:

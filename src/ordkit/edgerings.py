@@ -164,7 +164,12 @@ def quotient_identify(ideal: SquarefreeIdeal) -> NamedIdeal:
 
 
 def kdim_artinian(ideal: MonomialIdeal, names: Sequence[str] | None = None) -> int:
-    """Count the monomials outside an artinian ideal by slicing on the last variable."""
+    """Count the monomials outside an artinian ideal by slicing on the last variable.
+
+    The unit ideal, whose generator is 1, leaves nothing outside it.
+    """
+    if any(not any(g) for g in ideal.gens):
+        return 0
     for v in range(ideal.nvars):
         if not any(g[v] > 0 and all(e == 0 for i, e in enumerate(g) if i != v) for g in ideal.gens):
             label = names[v] if names is not None else f"x{v}"
@@ -172,7 +177,7 @@ def kdim_artinian(ideal: MonomialIdeal, names: Sequence[str] | None = None) -> i
                 "edge-rings", "kdim_artinian", f"not artinian: no pure power of variable {label}"
             )
     if ideal.nvars == 0:
-        return 0 if ideal.gens else 1
+        return 1
     return _standard_count(ideal.nvars, ideal.gens)
 
 
@@ -234,23 +239,27 @@ def is_cm_bipartite(g: BipartiteGraph) -> CMWitness | None:
 
     Candidate diagonals are perfect matchings of the graph itself, since a
     reflexive identification must use actual edges; the lexicographically
-    smallest matching that validates wins.
+    smallest matching that validates wins.  Bit j of row i says that A_i is
+    joined to the match of A_j, so every row is reflexive by construction;
+    transitivity and antisymmetry are tested on the rows directly, and only
+    the winner becomes a ``Preorder``.  Empty sides have no point set and
+    give no witness.
     """
     if len(g.a_names) > CM_SIDE_CAP or len(g.b_names) > CM_SIDE_CAP:
         raise OrdkitError("edge-rings", "is_cm_bipartite", f"side exceeds guard {CM_SIDE_CAP}")
-    if len(g.a_names) != len(g.b_names):
-        return None
     n = len(g.a_names)
+    if n != len(g.b_names) or n == 0:
+        return None
     for matching in _perfect_matchings(g):
         rows = tuple(
-            sum(1 << j for j in range(n) if g.has(i, matching[j])) for i in range(n)
+            sum(1 << j for j, b in enumerate(matching) if rel >> b & 1) for rel in g.relation
         )
-        try:
-            order = Preorder(Relation(n, rows))
-        except OrdkitError:
-            continue
-        if classify(order).partial_order:
-            return CMWitness(matching, order)
+        if all(
+            rows[j] & ~row == 0 and not rows[j] >> i & 1
+            for i, row in enumerate(rows)
+            for j in _bits(row & ~(1 << i))
+        ):
+            return CMWitness(matching, Preorder(Relation(n, rows)))
     return None
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import OrdkitError
@@ -213,17 +214,55 @@ def permute_ideal(ideal: MonomialIdeal, perm: Sequence[int]) -> MonomialIdeal:
 
 
 def stabilizer(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
-    """All variable permutations fixing the ideal."""
-    if ideal.nvars > STABILIZER_CAP:
+    """All variable permutations fixing the ideal, ascending lexicographically.
+
+    Backtracking over the images of x0, x1, ...: variable i may go to j only
+    when the exponent pairs (g[i], g[k]) over the generators form the same
+    multiset as (g[j], g[perm[k]]) for every k assigned so far, k = i
+    included.  A full assignment that passes those cuts gets the exact test,
+    that the permuted generators are the generators, unless no generator
+    involves more than two variables: then the pair multisets already
+    determine the generators.
+    """
+    n = ideal.nvars
+    if n > STABILIZER_CAP:
         raise OrdkitError(
-            "monomial-ideals", "stabilizer", f"{ideal.nvars} variables exceeds guard {STABILIZER_CAP}"
+            "monomial-ideals", "stabilizer", f"{n} variables exceeds guard {STABILIZER_CAP}"
         )
-    gens = set(ideal.gens)
-    return [
-        perm
-        for perm in itertools.permutations(range(ideal.nvars))
-        if {permute_monomial(g, perm) for g in gens} == gens
+    if n == 0:
+        return [()]
+    columns = list(zip(*ideal.gens)) or [()] * n
+    kinds: dict[tuple, int] = {}
+    pair = [
+        tuple(kinds.setdefault(tuple(sorted(zip(columns[i], columns[k]))), len(kinds)) for k in range(n))
+        for i in range(n)
     ]
+    candidates = [[j for j in range(n) if pair[j][j] == pair[i][i]] for i in range(n)]
+    exact = any(n - g.count(0) > 2 for g in ideal.gens)
+    gens = set(ideal.gens)
+    found: list[tuple[int, ...]] = []
+    perm: list[int] = []
+    inverse = [0] * n
+
+    def extend(i: int, used: int) -> None:
+        # itemgetter of one index returns a scalar, so the prefix is one too.
+        image_of = itemgetter(*perm) if i else None
+        want = pair[i][:i] if i != 1 else pair[i][0]
+        for j in candidates[i]:
+            if used >> j & 1 or (i and image_of(pair[j]) != want):
+                continue
+            perm.append(j)
+            inverse[j] = i
+            if i + 1 < n:
+                extend(i + 1, used | 1 << j)
+            elif not exact or gens.issuperset(map(itemgetter(*inverse), ideal.gens)):
+                # The permuted generator has exponent g[inverse[v]] at variable v;
+                # a generator in three variables means n >= 3, so these are tuples.
+                found.append(tuple(perm))
+            perm.pop()
+
+    extend(0, 0)
+    return found
 
 
 def chain_point(m: Monomial) -> tuple[int, ...]:

@@ -2,7 +2,8 @@
 
 Every domain value has a matching parse/render pair such that
 ``parse(render(x)) == x``.  Structured command output goes through
-``document_text``, canonical JSON that round-trips byte-identically.
+``write_document``, which streams canonical JSON that round-trips
+byte-identically; ``document_text`` is the same text as one string.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence, TextIO
 
 from .digraphs import Digraph, Edge, check_vertex_count
 from .edgerings import BipartiteGraph, NamedIdeal, SimpleGraph
@@ -560,9 +562,32 @@ def render_digraph_dot(q: Digraph, names: Sequence[str] | None = None) -> str:
 # ---------------------------------------------------------------- documents
 
 
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+_CHUNKS_PER_WRITE = 8192
+
+
+def _document_batches(doc) -> Iterator[str]:
+    """Canonical JSON (sorted keys, two-space indent, trailing newline) in pieces.
+
+    The indenting encoder yields many tiny chunks; joining a few thousand at
+    a time keeps memory at one batch instead of the whole text, and costs no
+    more time than joining them all at once.
+    """
+    chunks = _ENCODER.iterencode(doc)
+    while batch := list(islice(chunks, _CHUNKS_PER_WRITE)):
+        yield "".join(batch)
+    yield "\n"
+
+
+def write_document(doc, out: TextIO) -> None:
+    """Write the canonical JSON text of ``doc`` to ``out`` batch by batch."""
+    for batch in _document_batches(doc):
+        out.write(batch)
+
+
 def document_text(doc) -> str:
     """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return "".join(_document_batches(doc))
 
 
 def parse_document(text: str):

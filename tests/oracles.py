@@ -1,5 +1,5 @@
 """Brute-force reference implementations that the pruned searches and the
-output-sensitive ideal kernels replace.
+output-sensitive kernels replace.
 
 Each one is the plain generate-and-filter definition, kept only so tests
 can compare the fast versions in ``ordkit`` against it.
@@ -10,10 +10,11 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
-from ordkit.edgerings import SquarefreeIdeal
+from ordkit.digraphs import Digraph, Path, all_paths, paths_up_to_length
+from ordkit.edgerings import CMWitness, SquarefreeIdeal, _perfect_matchings
 from ordkit.errors import OrdkitError
-from ordkit.monomials import MonomialIdeal, contains, divides
-from ordkit.relations import Preorder, Relation, _bits, _string_key
+from ordkit.monomials import STABILIZER_CAP, MonomialIdeal, contains, divides, permute_monomial
+from ordkit.relations import Preorder, Relation, _bits, _string_key, classify
 
 
 def _transitive(rows: Sequence[int]) -> bool:
@@ -86,9 +87,48 @@ def alexander_dual(ideal: SquarefreeIdeal) -> SquarefreeIdeal:
 
 
 def kdim_artinian(ideal: MonomialIdeal) -> int:
-    """Scan the box below the pure powers for monomials outside the ideal."""
+    """Scan the box below the pure powers for monomials outside the ideal.
+
+    The generator 1 counts as the zeroth power of every variable.
+    """
     bounds = [
-        min(g[v] for g in ideal.gens if g[v] > 0 and not any(e for i, e in enumerate(g) if i != v))
+        min(g[v] for g in ideal.gens if not any(e for i, e in enumerate(g) if i != v))
         for v in range(ideal.nvars)
     ]
     return sum(1 for m in itertools.product(*(range(b) for b in bounds)) if not contains(ideal, m))
+
+
+def stabilizer(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
+    """Every one of the n! variable permutations that maps the generators onto themselves."""
+    if ideal.nvars > STABILIZER_CAP:
+        raise OrdkitError(
+            "monomial-ideals", "stabilizer", f"{ideal.nvars} variables exceeds guard {STABILIZER_CAP}"
+        )
+    gens = set(ideal.gens)
+    return [
+        perm
+        for perm in itertools.permutations(range(ideal.nvars))
+        if {permute_monomial(g, perm) for g in gens} == gens
+    ]
+
+
+def hom_paths(q: Digraph, a: int, b: int, limit: int | None = None) -> list[Path]:
+    """Every path of the digraph up to the bound, filtered for those from a to b."""
+    pool = all_paths(q) if limit is None else paths_up_to_length(q, limit)
+    return [p for p in pool if p.start == a and p.end == b]
+
+
+def is_cm_bipartite(g) -> CMWitness | None:
+    """Validate a full ``Preorder`` for every perfect matching until one is a partial order."""
+    n = len(g.a_names)
+    if n != len(g.b_names):
+        return None
+    for matching in _perfect_matchings(g):
+        rows = tuple(sum(1 << j for j in range(n) if g.has(i, matching[j])) for i in range(n))
+        try:
+            order = Preorder(Relation(n, rows))
+        except OrdkitError:
+            continue
+        if classify(order).partial_order:
+            return CMWitness(matching, order)
+    return None

@@ -330,6 +330,11 @@ class TestGraphCommands:
             "exponents": [], "generators": [], "kind": "ideal", "text": "", "vars": []
         }
 
+    def test_dim_of_the_unit_ideal_in_two_variables(self, capsys):
+        code, out, err = run(capsys, "graph", "dim", "--gens", "vars: x,y; 1")
+        assert (code, err) == (0, "")
+        assert parse_document(out) == {"kind": "quotient-dimension", "value": 0}
+
 
 class TestGaloisCommand:
     def test_ceiling_pair_holds(self, capsys):

@@ -149,9 +149,13 @@ class TestBoundary:
         with pytest.raises(OrdkitError, match=r"negative exponent in \(-1, 2\)"):
             minimalize(2, [(-1, 2), (0, 1)])
 
-    def test_unit_ideal_is_not_artinian(self):
+    def test_unit_ideal_has_no_standard_monomials(self):
+        for nvars in range(5):
+            ideal = minimalize(nvars, [(0,) * nvars] + [(1,) * nvars])
+            assert ideal.gens == ((0,) * nvars,)
+            assert kdim_artinian(ideal) == oracles.kdim_artinian(ideal) == 0
         with pytest.raises(OrdkitError, match="no pure power of variable x0"):
-            kdim_artinian(minimalize(2, [(0, 0), (1, 0), (0, 1)]))
+            kdim_artinian(minimalize(2, [(0, 1), (1, 1)]))
 
     def test_zero_variable_kernels(self):
         assert kdim_artinian(minimalize(0, [])) == 1

@@ -1,0 +1,251 @@
+"""Output-sensitive answers against their brute-force oracles.
+
+``stabilizer`` (pair-multiset backtracking), ``hom_paths`` (growth pruned by
+distance to the target) and ``is_cm_bipartite`` (bitmask tests per matching)
+are compared with the n! scan, the all-paths filter and the validate-every-
+matching loop in ``tests/oracles.py``; ``write_document`` is compared with
+``document_text`` and with the plain ``json.dumps`` text.
+"""
+
+import io
+import itertools
+import json
+import math
+import random
+import time
+
+import pytest
+
+from ordkit.digraphs import Digraph, Edge, hom_paths
+from ordkit.edgerings import BipartiteGraph, is_cm_bipartite
+from ordkit.errors import OrdkitError
+from ordkit.monomials import divides, minimalize, stabilizer
+from ordkit.textio import document_text, write_document
+from tests import oracles
+
+
+def every_antichain(nvars, top):
+    """Each antichain of exponent vectors in {0..top}^nvars, as its minimal ideal."""
+    pool = list(itertools.product(range(top + 1), repeat=nvars))
+
+    def extend(start, chosen):
+        yield minimalize(nvars, chosen)
+        for k in range(start, len(pool)):
+            m = pool[k]
+            if not any(divides(c, m) or divides(m, c) for c in chosen):
+                yield from extend(k + 1, chosen + [m])
+
+    return extend(0, [])
+
+
+def orbit_closed_gens(rng, nvars):
+    """Random generators closed under the cyclic group of a random permutation."""
+    sigma = list(range(nvars))
+    rng.shuffle(sigma)
+    gens = set()
+    for _ in range(rng.randint(1, 3)):
+        g = tuple(rng.choice((0, 0, 1, 2)) for _ in range(nvars))
+        for _ in range(nvars):
+            gens.add(g)
+            g = tuple(g[sigma[v]] for v in range(nvars))
+    return sorted(gens)
+
+
+class TestStabilizer:
+    def test_every_ideal_on_three_variables_with_exponents_up_to_two(self):
+        counts = []
+        for nvars in range(4):
+            ideals = list(every_antichain(nvars, 2))
+            counts.append(len(ideals))
+            for ideal in ideals:
+                assert stabilizer(ideal) == oracles.stabilizer(ideal), ideal.gens
+        assert counts == [2, 4, 20, 980]  # plane partitions in an n-cube of side 3
+
+    def test_seeded_random_ideals_on_four_to_eight_variables(self):
+        rng = random.Random(21)
+        nontrivial = 0
+        for case in range(300):
+            nvars = 8 if case % 30 == 0 else rng.randint(4, 7)
+            if case % 2:
+                gens = orbit_closed_gens(rng, nvars)
+            else:
+                gens = [tuple(rng.randint(0, 2) for _ in range(nvars)) for _ in range(rng.randint(0, 6))]
+            ideal = minimalize(nvars, gens)
+            found = stabilizer(ideal)
+            assert found == oracles.stabilizer(ideal), ideal.gens
+            nontrivial += len(found) > 1
+        assert nontrivial > 150
+
+    def test_block_shapes_of_the_benchmark(self):
+        # Each block of variables carries the pure powers of its own size, so
+        # exactly the permutations that keep every variable's exponent fix it.
+        for cut in itertools.combinations(range(1, 8), 2):
+            sizes = [len(block) for block in (range(0, cut[0]), range(cut[0], cut[1]), range(cut[1], 8))]
+            exponent = [size for size in sizes for _ in range(size)]
+            gens = [tuple(exponent[i] if v == i else 0 for v in range(8)) for i in range(8)]
+            expected = [p for p in itertools.permutations(range(8)) if all(exponent[p[i]] == exponent[i] for i in range(8))]
+            assert len(expected) == math.prod(math.factorial(exponent.count(e)) for e in set(exponent))
+            assert stabilizer(minimalize(8, gens)) == expected
+        ideal = minimalize(8, [tuple(3 if v == i else 0 for v in range(8)) for i in range(3)] + [(0,) * 3 + (1,) * 5])
+        assert stabilizer(ideal) == oracles.stabilizer(ideal)
+
+    @pytest.mark.parametrize("power", [2, 3])
+    def test_pure_powers_of_eight_variables_give_all_of_s8(self, power):
+        ideal = minimalize(8, [tuple(power if v == i else 0 for v in range(8)) for i in range(8)])
+        found = stabilizer(ideal)
+        assert found == oracles.stabilizer(ideal) == list(itertools.permutations(range(8)))
+
+    def test_fano_plane_needs_the_exact_test(self):
+        # Every pair of points lies on exactly one line, so every permutation
+        # passes the pair cuts; only 168 of the 5040 fix the seven lines.
+        lines = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+        ideal = minimalize(7, [tuple(int(v in line) for v in range(7)) for line in lines])
+        found = stabilizer(ideal)
+        assert len(found) == 168
+        assert found == oracles.stabilizer(ideal)
+
+    def test_zero_one_and_zero_ideal_cases(self):
+        assert stabilizer(minimalize(0, [])) == stabilizer(minimalize(0, [()])) == [()]
+        assert stabilizer(minimalize(1, [(3,)])) == [(0,)]
+        assert stabilizer(minimalize(3, [])) == list(itertools.permutations(range(3)))
+        assert stabilizer(minimalize(3, [(0, 0, 0)])) == list(itertools.permutations(range(3)))
+
+    def test_guard_message_is_unchanged(self):
+        with pytest.raises(OrdkitError, match=r"^monomial-ideals.stabilizer: 9 variables exceeds guard 8$"):
+            stabilizer(minimalize(9, []))
+
+
+def random_digraph(rng, n, cyclic):
+    """Random parallel edges along a shuffled vertex order, plus a back edge when cyclic."""
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n) for _ in range(rng.choice((0, 0, 1, 2)))]
+    if cyclic:
+        i, j = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+        pairs.append((order[j], order[i]))
+    rng.shuffle(pairs)
+    return Digraph(n, tuple(Edge(a, b, f"e{k}") for k, (a, b) in enumerate(pairs)))
+
+
+def same_outcome(new, old):
+    """Equal path lists, or the same OrdkitError text from both."""
+    try:
+        expected = old()
+    except OrdkitError as exc:
+        with pytest.raises(OrdkitError) as caught:
+            new()
+        assert str(caught.value) == str(exc)
+        return
+    assert new() == expected
+
+
+class TestHomPaths:
+    def test_every_pair_of_seeded_random_digraphs(self):
+        rng = random.Random(31)
+        for case in range(240):
+            q = random_digraph(rng, rng.randint(1, 6), cyclic=case % 4 == 3)
+            for a, b in itertools.product(range(q.n), repeat=2):
+                for limit in (None, 0, 1, 2, 3, 4):
+                    same_outcome(
+                        lambda: hom_paths(q, a, b, limit), lambda: oracles.hom_paths(q, a, b, limit)
+                    )
+
+    def test_negative_bound_and_outside_endpoints(self):
+        q = random_digraph(random.Random(5), 4, cyclic=False)
+        same_outcome(lambda: hom_paths(q, 0, 1, -1), lambda: oracles.hom_paths(q, 0, 1, -1))
+        assert hom_paths(q, 0, 4) == oracles.hom_paths(q, 0, 4) == []
+        assert hom_paths(q, -1, 0, 3) == oracles.hom_paths(q, -1, 0, 3) == []
+
+    def test_dense_twenty_vertex_dag_as_in_the_benchmark(self):
+        rng = random.Random(8)
+        edges = [(i, j) for i in range(20) for j in range(i + 1, 20) if rng.random() < 0.65]
+        q = Digraph(20, tuple(Edge(a, b, f"e{k}") for k, (a, b) in enumerate(edges)))
+        for a, b in ((0, 19), (2, 15), (7, 7), (15, 2)):
+            assert hom_paths(q, a, b) == oracles.hom_paths(q, a, b)
+        assert hom_paths(q, 0, 19, 4) == oracles.hom_paths(q, 0, 19, 4)
+
+    def test_long_chain_costs_only_its_answer(self):
+        n = 1200
+        chain = Digraph(n, tuple(Edge(i, i + 1, f"e{i}") for i in range(n - 1)))
+        start = time.perf_counter()
+        found = hom_paths(chain, 0, n - 1)
+        assert [len(p) for p in found] == [n - 1]
+        assert hom_paths(chain, 5, 4) == []
+        assert time.perf_counter() - start < 10
+
+
+def random_bipartite(rng, n, planted):
+    """A poset relation read through a random matching with a few bits flipped, or a sparse random one."""
+    if planted:
+        rank = list(range(n))
+        rng.shuffle(rank)
+        rows = [1 << i | sum(1 << j for j in range(n) if rank[i] < rank[j] and rng.random() < 0.3) for i in range(n)]
+        for i in sorted(range(n), key=lambda i: -rank[i]):
+            for j in range(n):
+                if rows[i] >> j & 1 and j != i:
+                    rows[i] |= rows[j]
+        match = list(range(n))
+        rng.shuffle(match)
+        relation = [sum(1 << match[j] for j in range(n) if row >> j & 1) for row in rows]
+        for _ in range(rng.randint(0, 2)):
+            relation[rng.randrange(n)] ^= 1 << rng.randrange(n)
+    else:
+        relation = [sum(1 << j for j in range(n) if rng.random() < 0.3) for _ in range(n)]
+    names = [f"a{i}" for i in range(n)], [f"b{j}" for j in range(n)]
+    return BipartiteGraph(tuple(names[0]), tuple(names[1]), tuple(relation))
+
+
+class TestCMBipartite:
+    def test_seeded_random_graphs_with_nine_or_ten_vertices_per_side(self):
+        rng = random.Random(41)
+        witnesses = 0
+        for case in range(120):
+            g = random_bipartite(rng, rng.randint(9, 10), planted=case % 3 != 2)
+            found = is_cm_bipartite(g)
+            assert found == oracles.is_cm_bipartite(g)
+            witnesses += found is not None
+        assert 20 < witnesses < 120
+
+    def test_every_bipartite_graph_with_three_vertices_per_side(self):
+        names = ("a0", "a1", "a2"), ("b0", "b1", "b2")
+        for rows in itertools.product(range(8), repeat=3):
+            g = BipartiteGraph(*names, rows)
+            assert is_cm_bipartite(g) == oracles.is_cm_bipartite(g)
+
+    def test_empty_and_unequal_sides_have_no_witness(self):
+        assert is_cm_bipartite(BipartiteGraph((), (), ())) is None
+        assert is_cm_bipartite(BipartiteGraph(("a",), ("b", "c"), (1,))) is None
+
+
+DOCUMENTS = [
+    {"kind": "x", "nested": {"b": [1, [2, [3, {}]]], "a": {"z": [], "y": {}}}},
+    {},
+    [],
+    [[], {}, [[]], [{}]],
+    {"name": "Ölçü ∀x≤y — 順序", "emoji": "\U0001f600", "escapes": "tab\tquote\"back\\"},
+    {"t": True, "f": False, "none": None, "list": [True, False, None, 0, -1, 2.5]},
+    "top-level string",
+    7,
+    None,
+    {"big": [{"i": i, "s": str(i)} for i in range(6000)]},
+]
+
+
+class TestWriteDocument:
+    @pytest.mark.parametrize("doc", DOCUMENTS)
+    def test_streamed_text_equals_document_text(self, doc):
+        out = io.StringIO()
+        assert write_document(doc, out) is None
+        assert out.getvalue() == document_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_large_document_is_written_in_several_batches(self):
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+
+        doc = DOCUMENTS[-1]
+        write_document(doc, Recorder())
+        assert len(writes) > 3
+        assert "".join(writes) == document_text(doc)
