@@ -8,21 +8,19 @@ structured format is canonical JSON.
 from __future__ import annotations
 
 import argparse
-import random
+import importlib
 import sys
-from pathlib import Path
 from typing import Sequence
 
-from . import edgerings, monomials, patterns, relations, textio, topology
-from .digraphs import (
-    all_paths,
-    hom_paths,
-    paths_up_to_length,
-    reachability_preorder,
-)
+from . import relations, textio
 from .errors import OrdkitError
 from .relations import MonotoneMap, Preorder
 from .textio import ParseError, document_text  # noqa: F401  (stays importable from ordkit.cli)
+
+# The other layer modules are bound here by ``_load`` when a command of a
+# group that uses them runs (see ``GROUPS``), so a command compiles and
+# imports only its own layers.
+topology = digraphs = monomials = patterns = edgerings = None
 
 
 # ---------------------------------------------------------------- documents
@@ -78,6 +76,8 @@ def _read_source(args, attr: str = "input", file_attr: str = "file") -> str:
     if inline is not None and path is not None:
         raise ParseError("give exactly one input source, not both --input and --file")
     if path is not None:
+        from pathlib import Path
+
         try:
             return Path(path).read_text().strip()
         except OSError as exc:
@@ -230,11 +230,11 @@ def _path_doc(path, names: Sequence[str]) -> dict:
 def _cmd_digraph_paths(args) -> int:
     q, names = textio.parse_digraph(_read_source(args))
     if args.complete:
-        found = all_paths(q)
+        found = digraphs.all_paths(q)
     else:
         if args.max_length is None:
             raise ParseError("give --max-length or --complete")
-        found = paths_up_to_length(q, args.max_length)
+        found = digraphs.paths_up_to_length(q, args.max_length)
     return _emit(
         {
             "kind": "paths",
@@ -250,7 +250,7 @@ def _cmd_digraph_homs(args) -> int:
     for label in (args.source, args.target):
         if label not in index:
             raise ParseError(f"unknown vertex name {label!r}")
-    found = hom_paths(q, index[args.source], index[args.target], args.max_length)
+    found = digraphs.hom_paths(q, index[args.source], index[args.target], args.max_length)
     return _emit(
         {
             "kind": "hom-paths",
@@ -262,7 +262,7 @@ def _cmd_digraph_homs(args) -> int:
 
 def _cmd_digraph_preorder(args) -> int:
     q, names = textio.parse_digraph(_read_source(args))
-    return _emit(_preorder_doc(reachability_preorder(q), names))
+    return _emit(_preorder_doc(digraphs.reachability_preorder(q), names))
 
 
 def _cmd_digraph_render(args) -> int:
@@ -521,7 +521,7 @@ def _cmd_galois_check(args) -> int:
 # ---------------------------------------------------------------- selftest
 
 
-def _random_ideal(rng: random.Random) -> monomials.MonomialIdeal:
+def _random_ideal(rng) -> monomials.MonomialIdeal:
     n = rng.randint(1, 3)
     gens = [
         tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 4))
@@ -529,7 +529,7 @@ def _random_ideal(rng: random.Random) -> monomials.MonomialIdeal:
     return monomials.minimalize(n, gens)
 
 
-def _selftest_associated(rng: random.Random, cases: int) -> int:
+def _selftest_associated(rng, cases: int) -> int:
     for _ in range(cases):
         ideal = _random_ideal(rng)
         got = monomials.associated_preorder(ideal)
@@ -539,7 +539,7 @@ def _selftest_associated(rng: random.Random, cases: int) -> int:
     return cases
 
 
-def _selftest_product_stability(rng: random.Random, cases: int) -> int:
+def _selftest_product_stability(rng, cases: int) -> int:
     pool = list(relations.enumerate_preorders(3))
     done = 0
     for _ in range(cases):
@@ -553,7 +553,7 @@ def _selftest_product_stability(rng: random.Random, cases: int) -> int:
     return done
 
 
-def _selftest_dual_involution(rng: random.Random, cases: int) -> int:
+def _selftest_dual_involution(rng, cases: int) -> int:
     names = tuple("abcdef")
     done = 0
     for _ in range(cases):
@@ -571,6 +571,8 @@ def _selftest_dual_involution(rng: random.Random, cases: int) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    import random
+
     rng = random.Random(args.seed)
     suites = [
         ("associated-preorder-oracle", _selftest_associated, 500),
@@ -588,173 +590,160 @@ def _cmd_selftest(args) -> int:
     return 1 if failed else 0
 
 
-# ---------------------------------------------------------------- parser
+# ---------------------------------------------------------------- command table
 
 
-def _add_input_options(sub, with_no_close: bool = True):
-    sub.add_argument("--input", help="inline input text")
-    sub.add_argument("--file", help="path to a file holding the input text")
-    if with_no_close:
-        sub.add_argument(
-            "--no-close",
-            action="store_true",
-            help="reject relations that are not already reflexive-transitive",
-        )
+_SOURCE = (
+    ("--input", {"help": "inline input text"}),
+    ("--file", {"help": "path to a file holding the input text"}),
+)
+_RELATION = _SOURCE + (
+    (
+        "--no-close",
+        {"action": "store_true", "help": "reject relations that are not already reflexive-transitive"},
+    ),
+)
+_COUNT = (("--n", {"type": int, "required": True}), ("--count", {"action": "store_true"}))
+_GENS = (("--gens", {"required": True}),)
+_MATRICES = (("--matrices", {"help": "matrices separated by |"}), ("--matrices-file", {}), ("--points", {}))
+_BIPARTITE = (
+    ("--edges", {}),
+    ("--parts", {"help": "'a,c|b,d'"}),
+    ("--input", {"help": "full 'A: ... | B: ... | edges: ...' text"}),
+    ("--file", {}),
+)
+
+# group -> (help, layer modules its handlers use, leaves as (name, handler, options));
+# a leaf named None is the group itself.
+GROUPS = {
+    "preorder": ("preorders on labeled points", (), (
+        ("enumerate", _cmd_preorder_enumerate, _COUNT),
+        ("classify", _cmd_preorder_classify, _RELATION),
+        ("canon", _cmd_preorder_canon, _RELATION),
+        ("bubbles", _cmd_preorder_bubbles, _RELATION),
+        ("upsets", _cmd_preorder_upsets, _RELATION),
+        ("hasse", _cmd_preorder_hasse, _RELATION),
+    )),
+    "topology": ("finite topologies", ("topology",), (
+        ("validate", _cmd_topology_validate, _SOURCE),
+        ("from-preorder", _cmd_topology_from_preorder, _RELATION),
+        ("to-preorder", _cmd_topology_to_preorder, _SOURCE),
+        ("enumerate", _cmd_topology_enumerate, _COUNT),
+        ("t0", _cmd_topology_t0, _SOURCE),
+    )),
+    "digraph": ("directed multigraphs", ("digraphs",), (
+        ("paths", _cmd_digraph_paths, _SOURCE + (
+            ("--max-length", {"type": int}),
+            ("--complete", {"action": "store_true"}),
+        )),
+        ("homs", _cmd_digraph_homs, _SOURCE + (
+            ("--source", {"required": True}),
+            ("--target", {"required": True}),
+            ("--max-length", {"type": int}),
+        )),
+        ("preorder", _cmd_digraph_preorder, _SOURCE),
+        ("render", _cmd_digraph_render, _SOURCE + (
+            ("--format", {"choices": ("text", "dot"), "default": "dot"}),
+        )),
+    )),
+    "ideal": ("monomial ideals", ("monomials", "edgerings"), (
+        ("preorder", _cmd_ideal_preorder, _GENS),
+        ("strongly-stable", _cmd_ideal_strongly_stable, _GENS + (
+            ("--order", {"help": "variables from largest to smallest, e.g. x,y,z"}),
+        )),
+        ("most-degenerate", _cmd_ideal_most_degenerate, _GENS),
+        ("stabilizer", _cmd_ideal_stabilizer, _GENS),
+        ("to-upset", _cmd_ideal_to_upset, _GENS),
+        ("from-upset", _cmd_ideal_from_upset, (
+            ("--chains", {"required": True}),
+            ("--nvars", {"type": int}),
+            ("--vars", {}),
+        )),
+    )),
+    "pattern": ("pattern matrix groups", ("patterns",), (
+        ("from-preorder", _cmd_pattern_from_preorder, _RELATION),
+        ("closed", _cmd_pattern_closed, (
+            ("--rows", {"required": True, "help": "comma-separated 0/1 strings"}),
+        )),
+        ("membership", _cmd_pattern_membership, _RELATION + (("--matrix", {"required": True}),)),
+        ("invariant", _cmd_pattern_invariant, _MATRICES),
+        ("pre", _cmd_pattern_pre, _MATRICES),
+    )),
+    "graph": ("edge ideals and letterplace ideals", ("monomials", "edgerings"), (
+        ("edge-ideal", _cmd_graph_edge_ideal, (
+            ("--edges", {"help": "a-b,b-c or 'points: ...; edges: ...'"}),
+            ("--file", {}),
+        )),
+        ("cm-bipartite", _cmd_graph_cm_bipartite, _BIPARTITE),
+        ("linres", _cmd_graph_linres, _BIPARTITE),
+        ("dim", _cmd_graph_dim, (("--gens", {}), ("--poset", {}))),
+        ("letterplace", _cmd_graph_letterplace, (
+            ("--p", {"required": True}),
+            ("--q", {"required": True}),
+        )),
+        ("co-letterplace", _cmd_graph_co_letterplace, (
+            ("--poset", {"required": True}),
+            ("--maps", {}),
+            ("--depth", {"type": int}),
+            ("--full-hom", {"action": "store_true"}),
+        )),
+        ("dual", _cmd_graph_dual, _GENS),
+    )),
+    "galois": ("adjunction checks", (), (
+        ("check", _cmd_galois_check, (
+            ("--truncation", {"type": int, "default": 10}),
+            ("--left", {"required": True, "help": "double|ceil-half|floor-half|id or values"}),
+            ("--right", {"required": True}),
+        )),
+    )),
+    "selftest": ("randomized oracle suites", ("monomials", "patterns", "edgerings"), (
+        (None, _cmd_selftest, (("--seed", {"type": int, "default": 0}),)),
+    )),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(group: str | None = None) -> argparse.ArgumentParser:
+    """Every group's parser, and the leaf parsers of ``group`` only.
+
+    The top-level help lists every group, but a run parses one group's
+    leaves, so the others are never built.
+    """
     parser = argparse.ArgumentParser(prog="ordkit", description=__doc__)
     top = parser.add_subparsers(dest="command")
-
-    pre = top.add_parser("preorder", help="preorders on labeled points").add_subparsers(
-        dest="sub"
-    )
-    sub = pre.add_parser("enumerate")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--count", action="store_true")
-    sub.set_defaults(handler=_cmd_preorder_enumerate)
-    for name, handler in [
-        ("classify", _cmd_preorder_classify),
-        ("canon", _cmd_preorder_canon),
-        ("bubbles", _cmd_preorder_bubbles),
-        ("upsets", _cmd_preorder_upsets),
-        ("hasse", _cmd_preorder_hasse),
-    ]:
-        sub = pre.add_parser(name)
-        _add_input_options(sub)
-        sub.set_defaults(handler=handler)
-
-    topo = top.add_parser("topology", help="finite topologies").add_subparsers(dest="sub")
-    sub = topo.add_parser("validate")
-    _add_input_options(sub, with_no_close=False)
-    sub.set_defaults(handler=_cmd_topology_validate)
-    sub = topo.add_parser("from-preorder")
-    _add_input_options(sub)
-    sub.set_defaults(handler=_cmd_topology_from_preorder)
-    sub = topo.add_parser("to-preorder")
-    _add_input_options(sub, with_no_close=False)
-    sub.set_defaults(handler=_cmd_topology_to_preorder)
-    sub = topo.add_parser("enumerate")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--count", action="store_true")
-    sub.set_defaults(handler=_cmd_topology_enumerate)
-    sub = topo.add_parser("t0")
-    _add_input_options(sub, with_no_close=False)
-    sub.set_defaults(handler=_cmd_topology_t0)
-
-    dig = top.add_parser("digraph", help="directed multigraphs").add_subparsers(dest="sub")
-    sub = dig.add_parser("paths")
-    _add_input_options(sub, with_no_close=False)
-    sub.add_argument("--max-length", type=int)
-    sub.add_argument("--complete", action="store_true")
-    sub.set_defaults(handler=_cmd_digraph_paths)
-    sub = dig.add_parser("homs")
-    _add_input_options(sub, with_no_close=False)
-    sub.add_argument("--source", required=True)
-    sub.add_argument("--target", required=True)
-    sub.add_argument("--max-length", type=int)
-    sub.set_defaults(handler=_cmd_digraph_homs)
-    sub = dig.add_parser("preorder")
-    _add_input_options(sub, with_no_close=False)
-    sub.set_defaults(handler=_cmd_digraph_preorder)
-    sub = dig.add_parser("render")
-    _add_input_options(sub, with_no_close=False)
-    sub.add_argument("--format", choices=("text", "dot"), default="dot")
-    sub.set_defaults(handler=_cmd_digraph_render)
-
-    ide = top.add_parser("ideal", help="monomial ideals").add_subparsers(dest="sub")
-    sub = ide.add_parser("preorder")
-    sub.add_argument("--gens", required=True)
-    sub.set_defaults(handler=_cmd_ideal_preorder)
-    sub = ide.add_parser("strongly-stable")
-    sub.add_argument("--gens", required=True)
-    sub.add_argument("--order", help="variables from largest to smallest, e.g. x,y,z")
-    sub.set_defaults(handler=_cmd_ideal_strongly_stable)
-    sub = ide.add_parser("most-degenerate")
-    sub.add_argument("--gens", required=True)
-    sub.set_defaults(handler=_cmd_ideal_most_degenerate)
-    sub = ide.add_parser("stabilizer")
-    sub.add_argument("--gens", required=True)
-    sub.set_defaults(handler=_cmd_ideal_stabilizer)
-    sub = ide.add_parser("to-upset")
-    sub.add_argument("--gens", required=True)
-    sub.set_defaults(handler=_cmd_ideal_to_upset)
-    sub = ide.add_parser("from-upset")
-    sub.add_argument("--chains", required=True)
-    sub.add_argument("--nvars", type=int)
-    sub.add_argument("--vars")
-    sub.set_defaults(handler=_cmd_ideal_from_upset)
-
-    pat = top.add_parser("pattern", help="pattern matrix groups").add_subparsers(dest="sub")
-    sub = pat.add_parser("from-preorder")
-    _add_input_options(sub)
-    sub.set_defaults(handler=_cmd_pattern_from_preorder)
-    sub = pat.add_parser("closed")
-    sub.add_argument("--rows", required=True, help="comma-separated 0/1 strings")
-    sub.set_defaults(handler=_cmd_pattern_closed)
-    sub = pat.add_parser("membership")
-    _add_input_options(sub)
-    sub.add_argument("--matrix", required=True)
-    sub.set_defaults(handler=_cmd_pattern_membership)
-    sub = pat.add_parser("invariant")
-    sub.add_argument("--matrices", help="matrices separated by |")
-    sub.add_argument("--matrices-file")
-    sub.add_argument("--points")
-    sub.set_defaults(handler=_cmd_pattern_invariant)
-    sub = pat.add_parser("pre")
-    sub.add_argument("--matrices", help="matrices separated by |")
-    sub.add_argument("--matrices-file")
-    sub.add_argument("--points")
-    sub.set_defaults(handler=_cmd_pattern_pre)
-
-    gra = top.add_parser("graph", help="edge ideals and letterplace ideals").add_subparsers(
-        dest="sub"
-    )
-    sub = gra.add_parser("edge-ideal")
-    sub.add_argument("--edges", help="a-b,b-c or 'points: ...; edges: ...'")
-    sub.add_argument("--file")
-    sub.set_defaults(handler=_cmd_graph_edge_ideal)
-    for name, handler in [("cm-bipartite", _cmd_graph_cm_bipartite), ("linres", _cmd_graph_linres)]:
-        sub = gra.add_parser(name)
-        sub.add_argument("--edges")
-        sub.add_argument("--parts", help="'a,c|b,d'")
-        sub.add_argument("--input", help="full 'A: ... | B: ... | edges: ...' text")
-        sub.add_argument("--file")
-        sub.set_defaults(handler=handler)
-    sub = gra.add_parser("dim")
-    sub.add_argument("--gens")
-    sub.add_argument("--poset")
-    sub.set_defaults(handler=_cmd_graph_dim)
-    sub = gra.add_parser("letterplace")
-    sub.add_argument("--p", required=True)
-    sub.add_argument("--q", required=True)
-    sub.set_defaults(handler=_cmd_graph_letterplace)
-    sub = gra.add_parser("co-letterplace")
-    sub.add_argument("--poset", required=True)
-    sub.add_argument("--maps")
-    sub.add_argument("--depth", type=int)
-    sub.add_argument("--full-hom", action="store_true")
-    sub.set_defaults(handler=_cmd_graph_co_letterplace)
-    sub = gra.add_parser("dual")
-    sub.add_argument("--gens", required=True)
-    sub.set_defaults(handler=_cmd_graph_dual)
-
-    gal = top.add_parser("galois", help="adjunction checks").add_subparsers(dest="sub")
-    sub = gal.add_parser("check")
-    sub.add_argument("--truncation", type=int, default=10)
-    sub.add_argument("--left", required=True, help="double|ceil-half|floor-half|id or values")
-    sub.add_argument("--right", required=True)
-    sub.set_defaults(handler=_cmd_galois_check)
-
-    sub = top.add_parser("selftest", help="randomized oracle suites")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.set_defaults(handler=_cmd_selftest)
-
+    for name, (help_text, _modules, leaves) in GROUPS.items():
+        group_parser = top.add_parser(name, help=help_text)
+        if name != group:
+            continue
+        subs = None
+        for leaf, handler, options in leaves:
+            if leaf is None:
+                sub = group_parser
+            else:
+                if subs is None:
+                    subs = group_parser.add_subparsers(dest="sub")
+                sub = subs.add_parser(leaf)
+            for flag, kwargs in options:
+                sub.add_argument(flag, **kwargs)
+            sub.set_defaults(handler=handler)
     return parser
 
 
+def _load(modules: Sequence[str]) -> None:
+    """Bind each named layer module here, unless something is bound already.
+
+    A binding is never replaced: the benchmark tracer swaps these names for
+    traced proxies, and rebinding would undo that.
+    """
+    namespace = globals()
+    for name in modules:
+        if namespace[name] is None:
+            namespace[name] = importlib.import_module(f"{__package__}.{name}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    group = next((token for token in argv if not token.startswith("-")), None)
+    parser = build_parser(group)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -762,6 +751,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not hasattr(args, "handler"):
         parser.print_usage(sys.stderr)
         return 2
+    _load(GROUPS[args.command][1])
     try:
         return args.handler(args)
     except ParseError as exc:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import OrdkitError
-from .relations import MAX_POINTS, Preorder, Relation, closure
+from .relations import MAX_POINTS, Preorder, Record, Relation, _setattr, closure
 
 MAX_VERTICES = 1 << 16
 
@@ -17,27 +16,29 @@ def check_vertex_count(n: int) -> None:
         raise OrdkitError("digraph-paths", "digraph", f"vertex count {n} outside 0..{MAX_VERTICES}")
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: int
-    dst: int
-    label: str
+class Edge(Record):
+    __slots__ = ("src", "dst", "label")
+
+    def __init__(self, src: int, dst: int, label: str):
+        _setattr(self, "src", src)
+        _setattr(self, "dst", dst)
+        _setattr(self, "label", label)
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(Record):
     """Vertices ``0..n-1`` and labeled edges; parallel edges are first-class."""
 
-    n: int
-    edges: tuple[Edge, ...]
+    __slots__ = ("n", "edges")
 
-    def __post_init__(self):
-        check_vertex_count(self.n)
+    def __init__(self, n: int, edges: tuple[Edge, ...]):
+        _setattr(self, "n", n)
+        _setattr(self, "edges", edges)
+        check_vertex_count(n)
         labels = set()
-        for e in self.edges:
-            if not (0 <= e.src < self.n and 0 <= e.dst < self.n):
+        for e in edges:
+            if not (0 <= e.src < n and 0 <= e.dst < n):
                 raise OrdkitError(
-                    "digraph-paths", "digraph", f"edge {e.label} endpoint outside 0..{self.n - 1}"
+                    "digraph-paths", "digraph", f"edge {e.label} endpoint outside 0..{n - 1}"
                 )
             if e.label in labels:
                 raise OrdkitError("digraph-paths", "digraph", f"duplicate edge label {e.label!r}")
@@ -75,21 +76,33 @@ def _out_edges(q: Digraph) -> list[list[Edge]]:
     return out
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Record):
     """A composable edge sequence; the empty path carries only its base vertex."""
 
-    start: int
-    edges: tuple[Edge, ...]
+    __slots__ = ("start", "edges")
 
-    def __post_init__(self):
-        at = self.start
-        for e in self.edges:
+    def __init__(self, start: int, edges: tuple[Edge, ...]):
+        _setattr(self, "start", start)
+        _setattr(self, "edges", edges)
+        at = start
+        for e in edges:
             if e.src != at:
                 raise OrdkitError(
                     "digraph-paths", "path", f"edge {e.label} starts at {e.src}, expected {at}"
                 )
             at = e.dst
+
+    @classmethod
+    def _trusted(cls, start: int, edges: tuple[Edge, ...]) -> "Path":
+        """Wrap edges already known to compose from ``start``.
+
+        ``_grow`` extends a path by an edge out of its end, which composes by
+        construction, so re-walking the prefix would only repeat the check.
+        """
+        path = object.__new__(cls)
+        _setattr(path, "start", start)
+        _setattr(path, "edges", edges)
+        return path
 
     @property
     def end(self) -> int:
@@ -132,10 +145,11 @@ def _grow(q: Digraph, layer: list[Path], limit: int, dist: list) -> list[Path]:
     shortest path from v to a target, and 0 everywhere keeps every path.
     """
     out_edges = _out_edges(q)
+    extend = Path._trusted
     found = list(layer)
     for left in range(limit - 1, -1, -1):
         layer = [
-            Path(p.start, p.edges + (e,)) for p in layer for e in out_edges[p.end] if dist[e.dst] <= left
+            extend(p.start, p.edges + (e,)) for p in layer for e in out_edges[p.end] if dist[e.dst] <= left
         ]
         if not layer:
             break

@@ -8,7 +8,6 @@ in rendered output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import OrdkitError
@@ -16,8 +15,10 @@ from .monomials import Monomial, MonomialIdeal, minimalize
 from .relations import (
     MonotoneMap,
     Preorder,
+    Record,
     Relation,
     _bits,
+    _setattr,
     antichains,
     classify,
     monotone_maps,
@@ -27,29 +28,30 @@ CM_SIDE_CAP = 10
 DUAL_GROUND_CAP = 20
 
 
-@dataclass(frozen=True)
-class NamedIdeal:
+class NamedIdeal(Record):
     """A monomial ideal over a named ground set of variables."""
 
-    ground: tuple[str, ...]
-    ideal: MonomialIdeal
+    __slots__ = ("ground", "ideal")
 
-    def __post_init__(self):
-        if len(set(self.ground)) != len(self.ground):
+    def __init__(self, ground: tuple[str, ...], ideal: MonomialIdeal):
+        _setattr(self, "ground", ground)
+        _setattr(self, "ideal", ideal)
+        if len(set(ground)) != len(ground):
             raise OrdkitError("edge-rings", "ideal", "duplicate ground set names")
-        if self.ideal.nvars != len(self.ground):
+        if ideal.nvars != len(ground):
             raise OrdkitError(
                 "edge-rings",
                 "ideal",
-                f"{self.ideal.nvars} variables but {len(self.ground)} ground names",
+                f"{ideal.nvars} variables but {len(ground)} ground names",
             )
 
 
-@dataclass(frozen=True)
 class SquarefreeIdeal(NamedIdeal):
-    def __post_init__(self):
-        super().__post_init__()
-        for g in self.ideal.gens:
+    __slots__ = ()
+
+    def __init__(self, ground: tuple[str, ...], ideal: MonomialIdeal):
+        super().__init__(ground, ideal)
+        for g in ideal.gens:
             if any(e > 1 for e in g):
                 raise OrdkitError("edge-rings", "ideal", f"generator {g} is not squarefree")
 
@@ -57,53 +59,55 @@ class SquarefreeIdeal(NamedIdeal):
         return [sum(1 << i for i, e in enumerate(g) if e) for g in self.ideal.gens]
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(Record):
     """No loops, no multi-edges; vertices carry names."""
 
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[int, int], ...]):
+        _setattr(self, "vertices", vertices)
+        _setattr(self, "edges", edges)
+        if len(set(vertices)) != len(vertices):
             raise OrdkitError("edge-rings", "graph", "duplicate vertex names")
-        n = len(self.vertices)
+        n = len(vertices)
         seen = set()
-        for a, b in self.edges:
+        for a, b in edges:
             if not (0 <= a < n and 0 <= b < n):
                 raise OrdkitError("edge-rings", "graph", f"edge ({a}, {b}) out of range")
             if a == b:
-                raise OrdkitError("edge-rings", "graph", f"loop at vertex {self.vertices[a]}")
+                raise OrdkitError("edge-rings", "graph", f"loop at vertex {vertices[a]}")
             if a > b or (a, b) in seen:
                 raise OrdkitError("edge-rings", "graph", "edges must be sorted pairs without repeats")
             seen.add((a, b))
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
+class BipartiteGraph(Record):
     """A relation between two named sides, stored as bit rows over side B."""
 
-    a_names: tuple[str, ...]
-    b_names: tuple[str, ...]
-    relation: tuple[int, ...]
+    __slots__ = ("a_names", "b_names", "relation")
 
-    def __post_init__(self):
-        if len(self.relation) != len(self.a_names):
+    def __init__(self, a_names: tuple[str, ...], b_names: tuple[str, ...], relation: tuple[int, ...]):
+        _setattr(self, "a_names", a_names)
+        _setattr(self, "b_names", b_names)
+        _setattr(self, "relation", relation)
+        if len(relation) != len(a_names):
             raise OrdkitError("edge-rings", "bipartite", "one relation row per A-vertex required")
-        full = (1 << len(self.b_names)) - 1
-        if any(row & ~full for row in self.relation):
+        full = (1 << len(b_names)) - 1
+        if any(row & ~full for row in relation):
             raise OrdkitError("edge-rings", "bipartite", "relation row has bits beyond side B")
 
     def has(self, i: int, j: int) -> bool:
         return bool(self.relation[i] >> j & 1)
 
 
-@dataclass(frozen=True)
-class CMWitness:
+class CMWitness(Record):
     """A matching A -> B and the partial order it reads off the relation."""
 
-    matching: tuple[int, ...]
-    poset: Preorder
+    __slots__ = ("matching", "poset")
+
+    def __init__(self, matching: tuple[int, ...], poset: Preorder):
+        _setattr(self, "matching", matching)
+        _setattr(self, "poset", poset)
 
 
 def edge_ideal(g: SimpleGraph) -> SquarefreeIdeal:

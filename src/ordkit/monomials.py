@@ -16,12 +16,11 @@ point, not guessed at.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import OrdkitError
-from .relations import Preorder, Relation, classify
+from .relations import MAX_POINTS, Preorder, Record, Relation, _setattr, classify
 
 Monomial = tuple[int, ...]
 
@@ -49,19 +48,19 @@ def _check_gens(nvars: int, gens: Iterable[Monomial]) -> None:
             raise OrdkitError("monomial-ideals", "ideal", f"negative exponent in {g}")
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """A minimal generating set, deduplicated and sorted for determinism."""
 
-    nvars: int
-    gens: tuple[Monomial, ...]
+    __slots__ = ("nvars", "gens")
 
-    def __post_init__(self):
-        _check_gens(self.nvars, self.gens)
-        if tuple(sorted(set(self.gens))) != self.gens:
+    def __init__(self, nvars: int, gens: tuple[Monomial, ...]):
+        _setattr(self, "nvars", nvars)
+        _setattr(self, "gens", gens)
+        _check_gens(nvars, gens)
+        if tuple(sorted(set(gens))) != gens:
             raise OrdkitError("monomial-ideals", "ideal", "generators must be sorted and distinct")
-        for a in self.gens:
-            for b in self.gens:
+        for a in gens:
+            for b in gens:
                 if a != b and divides(a, b):
                     raise OrdkitError("monomial-ideals", "ideal", f"generator {a} divides {b}")
 
@@ -69,8 +68,8 @@ class MonomialIdeal:
     def _trusted(cls, nvars: int, gens: tuple[Monomial, ...]) -> "MonomialIdeal":
         """Wrap generators already known to be valid, sorted, distinct and an antichain."""
         ideal = object.__new__(cls)
-        object.__setattr__(ideal, "nvars", nvars)
-        object.__setattr__(ideal, "gens", gens)
+        _setattr(ideal, "nvars", nvars)
+        _setattr(ideal, "gens", gens)
         return ideal
 
     @property
@@ -122,6 +121,10 @@ def associated_preorder(ideal: MonomialIdeal) -> Preorder:
     so the generator-level check is equivalent to the quantified definition.
     """
     n = ideal.nvars
+    if not 1 <= n <= MAX_POINTS:
+        raise OrdkitError(
+            "monomial-ideals", "associated_preorder", f"point count {n} outside 1..{MAX_POINTS}"
+        )
     rows = []
     for x in range(n):
         row = 0

@@ -12,30 +12,29 @@ g<Y> inside <Y> forces equality by dimension, so inverses preserve it too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
 from .errors import OrdkitError
-from .relations import MAX_POINTS, Preorder, _bits
+from .relations import MAX_POINTS, Preorder, Record, _bits, _setattr
 from .topology import FiniteTopology, to_preorder
 
 STANDARD_GENERATOR_CAP = 6
 
 
-@dataclass(frozen=True)
-class PatternMatrix:
+class PatternMatrix(Record):
     """Boolean zero pattern; bit w of rows[v] set when entry (v, w) may be nonzero."""
 
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = ("n", "rows")
 
-    def __post_init__(self):
-        if self.n < 1 or len(self.rows) != self.n:
+    def __init__(self, n: int, rows: tuple[int, ...]):
+        _setattr(self, "n", n)
+        _setattr(self, "rows", rows)
+        if n < 1 or len(rows) != n:
             raise OrdkitError("pattern-groups", "pattern", "bad shape")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.rows):
+        full = (1 << n) - 1
+        for v, row in enumerate(rows):
             if row & ~full:
                 raise OrdkitError("pattern-groups", "pattern", f"row {v} has bits beyond the size")
             if not row >> v & 1:
@@ -47,13 +46,13 @@ class PatternMatrix:
         return bool(self.rows[v] >> w & 1)
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    n: int
-    entries: tuple[tuple[Fraction, ...], ...]
+class RationalMatrix(Record):
+    __slots__ = ("n", "entries")
 
-    def __post_init__(self):
-        if self.n < 1 or len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
+    def __init__(self, n: int, entries: tuple[tuple[Fraction, ...], ...]):
+        _setattr(self, "n", n)
+        _setattr(self, "entries", entries)
+        if n < 1 or len(entries) != n or any(len(r) != n for r in entries):
             raise OrdkitError("pattern-groups", "matrix", "matrix is not square of the stated size")
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":

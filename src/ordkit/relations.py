@@ -9,7 +9,7 @@ quotients and Hom-sets are then word-parallel row operations.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import OrdkitError
@@ -37,29 +37,70 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+_setattr = object.__setattr__
+
+
+class Record:
+    """An immutable record whose fields are its ``__slots__``.
+
+    Each subclass lists its own fields in ``__slots__`` and sets them with
+    ``_setattr`` in an explicit ``__init__`` before validating them.  As for a
+    frozen dataclass, assignment and deletion raise ``AttributeError``, only
+    records of the same class compare equal, and equality, hashing and the
+    repr follow the fields in order.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls._fields + vars(cls).get("__slots__", ())
+        cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # Copying and pickling rebuild through __init__, which assigns the slots.
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+
 def check_point_count(n: int) -> None:
     """Reject a carrier size outside 1..MAX_POINTS before anything is built for it."""
     if not 1 <= n <= MAX_POINTS:
         raise OrdkitError("order-core", "relation", f"point count {n} outside 1..{MAX_POINTS}")
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Record):
     """A binary relation on ``n`` points with no order axioms assumed."""
 
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = ("n", "rows")
 
-    def __post_init__(self):
-        check_point_count(self.n)
-        if len(self.rows) != self.n:
-            raise OrdkitError(
-                "order-core", "relation", f"expected {self.n} rows, got {len(self.rows)}"
-            )
-        full = (1 << self.n) - 1
-        for x, row in enumerate(self.rows):
+    def __init__(self, n: int, rows: tuple[int, ...]):
+        _setattr(self, "n", n)
+        _setattr(self, "rows", rows)
+        check_point_count(n)
+        if len(rows) != n:
+            raise OrdkitError("order-core", "relation", f"expected {n} rows, got {len(rows)}")
+        full = (1 << n) - 1
+        for x, row in enumerate(rows):
             if row & ~full:
-                raise OrdkitError("order-core", "relation", f"row {x} has bits beyond point {self.n - 1}")
+                raise OrdkitError("order-core", "relation", f"row {x} has bits beyond point {n - 1}")
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Relation":
@@ -77,15 +118,15 @@ class Relation:
         return [(x, y) for x in range(self.n) for y in _bits(self.rows[x])]
 
 
-@dataclass(frozen=True)
-class Preorder:
+class Preorder(Record):
     """A reflexive and transitive relation; ``le(x, y)`` reads ``x <= y``."""
 
-    rel: Relation
+    __slots__ = ("rel",)
 
-    def __post_init__(self):
-        rows = self.rel.rows
-        for x in range(self.n):
+    def __init__(self, rel: Relation):
+        _setattr(self, "rel", rel)
+        rows = rel.rows
+        for x in range(rel.n):
             if not rows[x] >> x & 1:
                 raise OrdkitError("order-core", "preorder", f"not reflexive: missing {x} <= {x}")
             for y in _bits(rows[x]):
@@ -121,62 +162,69 @@ class Preorder:
 
     @classmethod
     def discrete(cls, n: int) -> "Preorder":
+        check_point_count(n)
         return cls(Relation(n, tuple(1 << x for x in range(n))))
 
     @classmethod
     def coarse(cls, n: int) -> "Preorder":
+        check_point_count(n)
         full = (1 << n) - 1
         return cls(Relation(n, (full,) * n))
 
     @classmethod
     def chain(cls, n: int) -> "Preorder":
         """Ascending chain 0 <= 1 <= ... <= n-1."""
+        check_point_count(n)
         full = (1 << n) - 1
         return cls(Relation(n, tuple((full >> x) << x for x in range(n))))
 
 
-@dataclass(frozen=True)
-class PropertyFlags:
-    partial_order: bool
-    equivalence: bool
-    total: bool
-    discrete: bool
-    coarse: bool
+class PropertyFlags(Record):
+    __slots__ = ("partial_order", "equivalence", "total", "discrete", "coarse")
+
+    def __init__(self, partial_order: bool, equivalence: bool, total: bool, discrete: bool, coarse: bool):
+        _setattr(self, "partial_order", partial_order)
+        _setattr(self, "equivalence", equivalence)
+        _setattr(self, "total", total)
+        _setattr(self, "discrete", discrete)
+        _setattr(self, "coarse", coarse)
 
 
-@dataclass(frozen=True)
-class BubbleDecomposition:
+class BubbleDecomposition(Record):
     """Mutual-comparability classes and the partial order they inherit."""
 
-    blocks: tuple[tuple[int, ...], ...]
-    quotient: Preorder
+    __slots__ = ("blocks", "quotient")
+
+    def __init__(self, blocks: tuple[tuple[int, ...], ...], quotient: Preorder):
+        _setattr(self, "blocks", blocks)
+        _setattr(self, "quotient", quotient)
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
+class MonotoneMap(Record):
     """An order preserving map between two preorders."""
 
-    source: Preorder
-    target: Preorder
-    values: tuple[int, ...]
+    __slots__ = ("source", "target", "values")
 
-    def __post_init__(self):
-        if len(self.values) != self.source.n:
+    def __init__(self, source: Preorder, target: Preorder, values: tuple[int, ...]):
+        _setattr(self, "source", source)
+        _setattr(self, "target", target)
+        _setattr(self, "values", values)
+        if len(values) != source.n:
             raise OrdkitError(
                 "order-core",
                 "monotone-map",
-                f"expected {self.source.n} values, got {len(self.values)}",
+                f"expected {source.n} values, got {len(values)}",
             )
-        for v in self.values:
-            if not 0 <= v < self.target.n:
+        for v in values:
+            if not 0 <= v < target.n:
                 raise OrdkitError("order-core", "monotone-map", f"value {v} outside target points")
-        for x, y in self.source.pairs():
-            if not self.target.le(self.values[x], self.values[y]):
+        for x, y in source.pairs():
+            if not target.le(values[x], values[y]):
                 raise OrdkitError(
                     "order-core",
                     "monotone-map",
-                    f"not monotone: {x} <= {y} but f({x}) = {self.values[x]} "
-                    f"is not below f({y}) = {self.values[y]}",
+                    f"not monotone: {x} <= {y} but f({x}) = {values[x]} "
+                    f"is not below f({y}) = {values[y]}",
                 )
 
     def __call__(self, x: int) -> int:

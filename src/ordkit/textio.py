@@ -4,23 +4,27 @@ Every domain value has a matching parse/render pair such that
 ``parse(render(x)) == x``.  Structured command output goes through
 ``write_document``, which streams canonical JSON that round-trips
 byte-identically; ``document_text`` is the same text as one string.
+
+Only the order core is imported up front.  Each parser imports the layer
+module whose types it builds, and the JSON writer imports ``json``, so a
+command loads only what it uses.
 """
 
 from __future__ import annotations
 
-import json
 import re
-from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterator, Sequence, TextIO
 
-from .digraphs import Digraph, Edge, check_vertex_count
-from .edgerings import BipartiteGraph, NamedIdeal, SimpleGraph
 from .errors import OrdkitError
-from .monomials import Monomial
-from .patterns import RationalMatrix
 from .relations import Preorder, Relation, _bits, bubbles, check_point_count, closure
-from .topology import FiniteTopology
+
+if TYPE_CHECKING:
+    from .digraphs import Digraph
+    from .edgerings import BipartiteGraph, NamedIdeal, SimpleGraph
+    from .monomials import Monomial
+    from .patterns import RationalMatrix
+    from .topology import FiniteTopology
 
 
 class ParseError(Exception):
@@ -65,6 +69,8 @@ def default_point_names(n: int) -> tuple[str, ...]:
 
 def default_vertex_names(n: int) -> tuple[str, ...]:
     """Digraph vertices default to a, b, c, ..."""
+    from .digraphs import check_vertex_count
+
     check_vertex_count(n)
     if n <= 26:
         return tuple(chr(ord("a") + i) for i in range(n))
@@ -277,6 +283,8 @@ def parse_digraph(text: str) -> tuple[Digraph, tuple[str, ...]]:
     A bare count is accepted for ``n=<k>``, and a count line followed by one
     edge per line works as well.
     """
+    from .digraphs import Digraph, Edge
+
     text = text.strip()
     if ";" not in text and "\n" in text:
         head, *rest = [line.strip() for line in text.splitlines() if line.strip()]
@@ -336,6 +344,8 @@ def render_digraph(q: Digraph, names: Sequence[str] | None = None) -> str:
 
 def parse_graph(text: str) -> SimpleGraph:
     """Grammar: ``[points: a,b,c;] edges: a-b, b-c`` or a bare edge list."""
+    from .edgerings import SimpleGraph
+
     sections = _split_sections(text)
     points: list[str] | None = None
     edge_text = None
@@ -385,6 +395,8 @@ def render_graph(g: SimpleGraph) -> str:
 
 def parse_bipartite(text: str) -> BipartiteGraph:
     """Grammar: ``A: a,c | B: b,d | edges: a-b, c-d``."""
+    from .edgerings import BipartiteGraph
+
     parts = [part.strip() for part in text.split("|")]
     a_names: list[str] | None = None
     b_names: list[str] | None = None
@@ -437,6 +449,10 @@ def render_bipartite(g: BipartiteGraph) -> str:
 
 def parse_matrix(text: str) -> RationalMatrix:
     """Rows split by ';', entries by ','; entries are integers or p/q."""
+    from fractions import Fraction
+
+    from .patterns import RationalMatrix
+
     rows = []
     for row_text in text.split(";"):
         row = []
@@ -562,7 +578,6 @@ def render_digraph_dot(q: Digraph, names: Sequence[str] | None = None) -> str:
 # ---------------------------------------------------------------- documents
 
 
-_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
 _CHUNKS_PER_WRITE = 8192
 
 
@@ -573,7 +588,9 @@ def _document_batches(doc) -> Iterator[str]:
     a time keeps memory at one batch instead of the whole text, and costs no
     more time than joining them all at once.
     """
-    chunks = _ENCODER.iterencode(doc)
+    from json import JSONEncoder
+
+    chunks = JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
     while batch := list(islice(chunks, _CHUNKS_PER_WRITE)):
         yield "".join(batch)
     yield "\n"
@@ -591,4 +608,6 @@ def document_text(doc) -> str:
 
 
 def parse_document(text: str):
-    return json.loads(text)
+    from json import loads
+
+    return loads(text)

@@ -7,11 +7,10 @@ pairwise ones on a finite carrier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import OrdkitError
-from .relations import Preorder, Relation, _bits, _env_cap, up_sets
+from .relations import Preorder, Record, Relation, _bits, _env_cap, _setattr, up_sets
 
 TOPOLOGY_ENUMERATION_CAP = 4
 
@@ -20,17 +19,17 @@ def _set_text(mask: int) -> str:
     return "{" + ",".join(str(x) for x in _bits(mask)) + "}"
 
 
-@dataclass(frozen=True)
-class FiniteTopology:
+class FiniteTopology(Record):
     """Open sets of a topology on ``0..n-1``, stored as sorted bit masks."""
 
-    n: int
-    opens: tuple[int, ...]
+    __slots__ = ("n", "opens")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, opens: tuple[int, ...]):
+        _setattr(self, "n", n)
+        _setattr(self, "opens", opens)
+        if n < 1:
             raise OrdkitError("finite-topology", "topology", "need at least one point")
-        if tuple(sorted(set(self.opens))) != self.opens:
+        if tuple(sorted(set(opens))) != opens:
             raise OrdkitError("finite-topology", "topology", "opens must be sorted and distinct")
 
 

@@ -168,6 +168,16 @@ class TestIdealCommands:
         code, _, err = run(capsys, "ideal", "preorder", "--gens", "x^^2")
         assert code == 2 and "column 3" in err
 
+    def test_preorder_of_too_many_variables_is_rejected_before_the_scan(self, capsys):
+        for leaf in ("preorder", "most-degenerate"):
+            for count in (17, 80):
+                gens = ", ".join(f"x{i}" for i in range(count))
+                code, out, err = run(capsys, "ideal", leaf, "--gens", gens)
+                assert (code, out) == (1, "")
+                assert err == (
+                    f"ERR monomial-ideals.associated_preorder: point count {count} outside 1..16\n"
+                )
+
 
 class TestPatternCommands:
     def test_from_preorder_upper_triangular(self, capsys):
@@ -421,6 +431,21 @@ class TestContract:
             )
             assert proc.returncode == 1
             assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
+
+    def test_huge_chains_are_rejected_before_rows_are_built(self):
+        for argv in [
+            ("galois", "check", "--truncation", "100000000", "--left", "id", "--right", "id"),
+            ("graph", "co-letterplace", "--poset", "n=1", "--full-hom", "--depth", "100000000"),
+        ]:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from ordkit.cli import entrypoint; entrypoint()", *argv],
+                capture_output=True,
+                text=True,
+                timeout=30,
+                env={**os.environ, "PYTHONPATH": str(Path(ordkit.__file__).parents[1])},
+            )
+            assert (proc.returncode, proc.stdout) == (1, "")
+            assert proc.stderr == "ERR order-core.relation: point count 100000001 outside 1..16\n"
 
     def test_file_input_source(self, capsys, tmp_path):
         f = tmp_path / "p.txt"
