@@ -12,7 +12,6 @@ from .relations import (
     Preorder,
     PropertyFlags,
     Relation,
-    antichains,
     are_isomorphic,
     bubbles,
     canonical_form,
@@ -38,7 +37,6 @@ __all__ = [
     "bubbles",
     "refines",
     "up_sets",
-    "antichains",
     "enumerate_preorders",
     "canonical_form",
     "are_isomorphic",

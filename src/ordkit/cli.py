@@ -104,16 +104,20 @@ def _squarefree_from(text: str) -> edgerings.SquarefreeIdeal:
 # ---------------------------------------------------------------- preorder
 
 
-def _cmd_preorder_enumerate(args) -> int:
-    n = args.n
-    stream = list(relations.enumerate_preorders(n))
+def _write_all(args, enumerate_all, render) -> int:
+    """Every structure on ``--n`` points, one rendered per line, or their ``--count``."""
+    stream = list(enumerate_all(args.n))
     if args.count:
         sys.stdout.write(f"{len(stream)}\n")
         return 0
-    names = textio.default_point_names(n)
-    for p in stream:
-        sys.stdout.write(textio.render_preorder(p, names) + "\n")
+    names = textio.default_point_names(args.n)
+    for item in stream:
+        sys.stdout.write(render(item, names) + "\n")
     return 0
+
+
+def _cmd_preorder_enumerate(args) -> int:
+    return _write_all(args, relations.enumerate_preorders, textio.render_preorder)
 
 
 def _cmd_preorder_classify(args) -> int:
@@ -198,15 +202,7 @@ def _cmd_topology_to_preorder(args) -> int:
 
 
 def _cmd_topology_enumerate(args) -> int:
-    n = args.n
-    stream = list(topology.enumerate_topologies(n))
-    if args.count:
-        sys.stdout.write(f"{len(stream)}\n")
-        return 0
-    names = textio.default_point_names(n)
-    for t in stream:
-        sys.stdout.write(textio.render_topology(t, names) + "\n")
-    return 0
+    return _write_all(args, topology.enumerate_topologies, textio.render_topology)
 
 
 def _cmd_topology_t0(args) -> int:
@@ -382,22 +378,26 @@ def _matrices_from(args) -> list[patterns.RationalMatrix]:
     return textio.parse_matrices(_read_source(args, attr="matrices", file_attr="matrices_file"))
 
 
+def _point_names(args, n: int) -> Sequence[str]:
+    """``--points`` as ``n`` distinct checked names, or the default names."""
+    if not args.points:
+        return textio.default_point_names(n)
+    names = textio.parse_names(args.points, "point")
+    if len(names) != n:
+        raise ParseError(f"need {n} point names")
+    if len(set(names)) != n:
+        raise ParseError("duplicate point names")
+    return names
+
+
 def _cmd_pattern_invariant(args) -> int:
-    gens = _matrices_from(args)
-    t = patterns.invariant_subsets(gens)
-    names = args.points.split(",") if args.points else list(textio.default_point_names(t.n))
-    if len(names) != t.n:
-        raise ParseError(f"need {t.n} point names")
-    return _emit(_topology_doc(t, names))
+    t = patterns.invariant_subsets(_matrices_from(args))
+    return _emit(_topology_doc(t, _point_names(args, t.n)))
 
 
 def _cmd_pattern_pre(args) -> int:
-    gens = _matrices_from(args)
-    p = patterns.preorder_of_subgroup(gens)
-    names = args.points.split(",") if args.points else list(textio.default_point_names(p.n))
-    if len(names) != p.n:
-        raise ParseError(f"need {p.n} point names")
-    return _emit(_preorder_doc(p, names))
+    p = patterns.preorder_of_subgroup(_matrices_from(args))
+    return _emit(_preorder_doc(p, _point_names(args, p.n)))
 
 
 # ---------------------------------------------------------------- graph

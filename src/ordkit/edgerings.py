@@ -19,9 +19,9 @@ from .relations import (
     Relation,
     _bits,
     _setattr,
-    antichains,
     classify,
     monotone_maps,
+    up_sets,
 )
 
 CM_SIDE_CAP = 10
@@ -211,10 +211,11 @@ def _standard_count(nvars: int, gens: Sequence[Monomial]) -> int:
 
 
 def antichain_dimension(order: Preorder) -> int:
-    """Antichain count; the standard monomials of the poset quotient ideal."""
+    """Antichain count (the standard monomials of the poset quotient ideal),
+    as the up-set count: each antichain is the minimal points of one up-set."""
     if not classify(order).partial_order:
         raise OrdkitError("edge-rings", "antichain_dimension", "preorder is not antisymmetric")
-    return len(antichains(order))
+    return len(up_sets(order))
 
 
 def _perfect_matchings(g: BipartiteGraph) -> Iterator[tuple[int, ...]]:

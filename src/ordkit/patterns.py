@@ -17,8 +17,8 @@ from math import lcm
 from typing import Sequence
 
 from .errors import OrdkitError
-from .relations import MAX_POINTS, Preorder, Record, _bits, _setattr
-from .topology import FiniteTopology, to_preorder
+from .relations import MAX_POINTS, Preorder, Record, Relation, _bits, _setattr, closure
+from .topology import FiniteTopology, from_preorder
 
 STANDARD_GENERATOR_CAP = 6
 
@@ -164,21 +164,18 @@ def _check_generators(gens: Sequence[RationalMatrix], op: str) -> int:
 
 def invariant_subsets(gens: Sequence[RationalMatrix]) -> FiniteTopology:
     """Subsets whose coordinate subspace every generator maps into itself."""
-    n = _check_generators(gens, "invariant_subsets")
-    col_support = [
-        [sum(1 << v for v in range(n) if g.entries[v][w] != 0) for w in range(n)] for g in gens
-    ]
-    opens = [
-        mask
-        for mask in range(1 << n)
-        if all(cols[w] & ~mask == 0 for cols in col_support for w in _bits(mask))
-    ]
-    return FiniteTopology(n, tuple(opens))
+    return from_preorder(preorder_of_subgroup(gens))
 
 
 def preorder_of_subgroup(gens: Sequence[RationalMatrix]) -> Preorder:
-    """The preorder whose up-sets are exactly the invariant subsets."""
-    return to_preorder(invariant_subsets(gens))
+    """The preorder whose up-sets are exactly the invariant subsets: the
+    closure of ``w <= v`` over the nonzero entries (v, w) of the generators."""
+    n = _check_generators(gens, "invariant_subsets")
+    rows = [0] * n
+    for g in gens:
+        for v, w in g.support():
+            rows[w] |= 1 << v
+    return closure(Relation(n, tuple(rows)))
 
 
 def standard_generators(p: Preorder) -> tuple[RationalMatrix, ...]:

@@ -287,24 +287,21 @@ def refines(p: Preorder, q: Preorder) -> bool:
 
 
 def up_sets(p: Preorder) -> list[int]:
-    """All upward-closed subsets as bit masks, ascending."""
-    out = []
-    for mask in range(1 << p.n):
-        if all(p.rows[x] & ~mask == 0 for x in _bits(mask)):
-            out.append(mask)
-    return out
+    """All upward-closed subsets as bit masks, ascending.
 
-
-def antichains(p: Preorder) -> list[int]:
-    """All subsets with no two distinct comparable members, as masks."""
-    comparable = [
-        sum(1 << y for y in range(p.n) if y != x and (p.le(x, y) or p.le(y, x)))
-        for x in range(p.n)
-    ]
-    out = []
-    for mask in range(1 << p.n):
-        if all(mask & comparable[x] == 0 for x in _bits(mask)):
-            out.append(mask)
+    The bubbles (points with equal rows) are added from the top, in ascending
+    row size, and a set built so far takes a bubble only when it already
+    holds the rest of that bubble's row, so only up-sets are ever built.
+    """
+    blocks: dict[int, int] = {}
+    for x, row in enumerate(p.rows):
+        blocks[row] = blocks.get(row, 0) | 1 << x
+    out = [0]
+    for row in sorted(blocks, key=int.bit_count):
+        block = blocks[row]
+        above = row & ~block
+        out += [mask | block for mask in out if above & ~mask == 0]
+    out.sort()
     return out
 
 

@@ -49,6 +49,11 @@ def _check_name(token: str, what: str) -> str:
     return token
 
 
+def parse_names(text: str, what: str) -> list[str]:
+    """The names of a comma-separated list, each checked; empty entries are skipped."""
+    return [_check_name(t, what) for t in text.split(",") if t.strip()]
+
+
 def _split_sections(text: str) -> list[str]:
     return [part.strip() for part in text.split(";")]
 
@@ -95,7 +100,7 @@ def parse_preorder(text: str, close: bool = True) -> tuple[Preorder, tuple[str, 
         if not part:
             continue
         if part.startswith("points:"):
-            points = [_check_name(t, "point") for t in part[len("points:") :].split(",") if t.strip()]
+            points = parse_names(part[len("points:") :], "point")
         elif part.startswith("pairs:"):
             pair_text = part[len("pairs:") :]
         else:
@@ -300,7 +305,7 @@ def parse_digraph(text: str) -> tuple[Digraph, tuple[str, ...]]:
         if not part:
             continue
         if part.startswith("points:"):
-            points = [_check_name(t, "point") for t in part[len("points:") :].split(",") if t.strip()]
+            points = parse_names(part[len("points:") :], "point")
         elif part.startswith("edges:"):
             edge_text = part[len("edges:") :]
         else:
@@ -353,7 +358,7 @@ def parse_graph(text: str) -> SimpleGraph:
         if not part:
             continue
         if part.startswith("points:"):
-            points = [_check_name(t, "vertex") for t in part[len("points:") :].split(",") if t.strip()]
+            points = parse_names(part[len("points:") :], "vertex")
         elif part.startswith("edges:"):
             edge_text = part[len("edges:") :]
         elif edge_text is None and points is None and ":" not in part:
@@ -403,9 +408,9 @@ def parse_bipartite(text: str) -> BipartiteGraph:
     edge_text = ""
     for part in parts:
         if part.startswith("A:"):
-            a_names = [_check_name(t, "vertex") for t in part[2:].split(",") if t.strip()]
+            a_names = parse_names(part[2:], "vertex")
         elif part.startswith("B:"):
-            b_names = [_check_name(t, "vertex") for t in part[2:].split(",") if t.strip()]
+            b_names = parse_names(part[2:], "vertex")
         elif part.startswith("edges:"):
             edge_text = part[len("edges:") :]
         elif part:
@@ -491,7 +496,7 @@ def parse_topology(text: str) -> tuple[FiniteTopology, tuple[str, ...]]:
         if not part:
             continue
         if part.startswith("points:"):
-            points = [_check_name(t, "point") for t in part[len("points:") :].split(",") if t.strip()]
+            points = parse_names(part[len("points:") :], "point")
         elif part.startswith("opens:"):
             opens_text = part[len("opens:") :]
         else:

@@ -14,7 +14,9 @@ from ordkit.digraphs import Digraph, Path, all_paths, paths_up_to_length
 from ordkit.edgerings import CMWitness, SquarefreeIdeal, _perfect_matchings
 from ordkit.errors import OrdkitError
 from ordkit.monomials import STABILIZER_CAP, MonomialIdeal, contains, divides, permute_monomial
+from ordkit.patterns import RationalMatrix, _check_generators
 from ordkit.relations import Preorder, Relation, _bits, _string_key, classify
+from ordkit.topology import FiniteTopology, to_preorder
 
 
 def _transitive(rows: Sequence[int]) -> bool:
@@ -34,6 +36,45 @@ def enumerate_preorders(n: int) -> Iterator[Preorder]:
     for rows in itertools.product(*choices):
         if _transitive(rows):
             yield Preorder(Relation(n, rows))
+
+
+def up_sets(p: Preorder) -> list[int]:
+    """Every subset mask that holds the whole row of each of its points, ascending."""
+    masks = range(1 << p.n)
+    for x, row in enumerate(p.rows):
+        masks = [mask for mask in masks if not mask >> x & 1 or row & ~mask == 0]
+    return list(masks)
+
+
+def antichains(p: Preorder) -> list[int]:
+    """Every subset mask with no two distinct comparable members, ascending."""
+    comparable = [
+        sum(1 << y for y in range(p.n) if y != x and (p.le(x, y) or p.le(y, x)))
+        for x in range(p.n)
+    ]
+    return [
+        mask for mask in range(1 << p.n) if all(mask & comparable[x] == 0 for x in _bits(mask))
+    ]
+
+
+def invariant_subsets(gens: Sequence[RationalMatrix]) -> FiniteTopology:
+    """Every subset mask that holds, for each of its points w, the support of
+    column w of every generator."""
+    n = _check_generators(gens, "invariant_subsets")
+    col_support = [
+        [sum(1 << v for v in range(n) if g.entries[v][w] != 0) for w in range(n)] for g in gens
+    ]
+    opens = [
+        mask
+        for mask in range(1 << n)
+        if all(cols[w] & ~mask == 0 for cols in col_support for w in _bits(mask))
+    ]
+    return FiniteTopology(n, tuple(opens))
+
+
+def preorder_of_subgroup(gens: Sequence[RationalMatrix]) -> Preorder:
+    """The specialization preorder of the enumerated invariant subsets."""
+    return to_preorder(invariant_subsets(gens))
 
 
 def orbit(p: Preorder) -> set[int]:

@@ -213,6 +213,33 @@ class TestPatternCommands:
         _, out, _ = run(capsys, "pattern", "pre", "--matrices", mats)
         assert len(parse_document(out)["pairs"]) == 6
 
+    def test_points_are_checked_names(self, capsys):
+        for leaf in ("invariant", "pre"):
+            _, out, _ = run(capsys, "pattern", leaf, "--matrices", "1,1;0,1", "--points", " b , a,")
+            assert parse_document(out)["points"] == ["b", "a"]
+            cases = {
+                "a, a": "parse error: duplicate point names\n",
+                "A,": "parse error: bad point name 'A'\n",
+                "a,b,c": "parse error: need 2 point names\n",
+            }
+            for points, message in cases.items():
+                code, out, err = run(
+                    capsys, "pattern", leaf, "--matrices", "1,1;0,1", "--points", points
+                )
+                assert (code, out, err) == (2, "", message), (leaf, points)
+
+    def test_generator_errors_keep_the_invariant_subsets_tag(self, capsys):
+        big = ";".join(",".join("1" if i == j else "0" for j in range(17)) for i in range(17))
+        cases = {
+            "1,1;1,1": "generator 0 is singular",
+            big: "size 17 exceeds the 16-point cap",
+        }
+        for leaf in ("invariant", "pre"):
+            for mats, message in cases.items():
+                code, out, err = run(capsys, "pattern", leaf, "--matrices", mats)
+                assert (code, out) == (1, "")
+                assert err == f"ERR pattern-groups.invariant_subsets: {message}\n"
+
 
 class TestGraphCommands:
     def test_edge_ideal(self, capsys):

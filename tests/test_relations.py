@@ -10,7 +10,6 @@ from ordkit.relations import (
     MonotoneMap,
     Preorder,
     Relation,
-    antichains,
     are_isomorphic,
     bubbles,
     canonical_form,
@@ -27,6 +26,7 @@ from ordkit.relations import (
     up_sets,
 )
 from tests import oracles
+from tests.oracles import antichains
 
 
 def all_relations(n):
