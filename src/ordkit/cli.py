@@ -106,12 +106,13 @@ def _squarefree_from(text: str) -> edgerings.SquarefreeIdeal:
 
 def _write_all(args, enumerate_all, render) -> int:
     """Every structure on ``--n`` points, one rendered per line, or their ``--count``."""
-    stream = list(enumerate_all(args.n))
+    stream = enumerate_all(args.n)
     if args.count:
-        sys.stdout.write(f"{len(stream)}\n")
+        sys.stdout.write(f"{sum(1 for _ in stream)}\n")
         return 0
-    names = textio.default_point_names(args.n)
-    for item in stream:
+    names = ()
+    for item in stream:  # the first step checks the enumerator's own guard
+        names = names or textio.default_point_names(args.n)
         sys.stdout.write(render(item, names) + "\n")
     return 0
 
@@ -172,7 +173,7 @@ def _cmd_preorder_upsets(args) -> int:
         {
             "kind": "up-sets",
             "count": len(masks),
-            "opens": [[names[x] for x in relations._bits(mask)] for mask in masks],
+            "opens": ([names[x] for x in relations._bits(mask)] for mask in masks),
         }
     )
 
@@ -235,7 +236,7 @@ def _cmd_digraph_paths(args) -> int:
         {
             "kind": "paths",
             "count": len(found),
-            "paths": [_path_doc(p, names) for p in found],
+            "paths": (_path_doc(p, names) for p in found),
         }
     )
 
@@ -251,7 +252,7 @@ def _cmd_digraph_homs(args) -> int:
         {
             "kind": "hom-paths",
             "count": len(found),
-            "paths": [_path_doc(p, names) for p in found],
+            "paths": (_path_doc(p, names) for p in found),
         }
     )
 
@@ -303,9 +304,9 @@ def _cmd_ideal_most_degenerate(args) -> int:
 def _cmd_ideal_stabilizer(args) -> int:
     ideal = _named_ideal_from(args.gens)
     perms = monomials.stabilizer(ideal.ideal)
-    rendered = [
+    rendered = (
         {ideal.ground[i]: ideal.ground[perm[i]] for i in range(len(perm))} for perm in perms
-    ]
+    )
     return _emit({"kind": "stabilizer", "count": len(perms), "permutations": rendered})
 
 

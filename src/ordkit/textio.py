@@ -13,8 +13,8 @@ command loads only what it uses.
 from __future__ import annotations
 
 import re
-from itertools import islice
-from typing import TYPE_CHECKING, Iterator, Sequence, TextIO
+from collections.abc import Iterator
+from typing import TYPE_CHECKING, Sequence, TextIO
 
 from .errors import OrdkitError
 from .relations import Preorder, Relation, _bits, bubbles, check_point_count, closure
@@ -583,33 +583,65 @@ def render_digraph_dot(q: Digraph, names: Sequence[str] | None = None) -> str:
 # ---------------------------------------------------------------- documents
 
 
-_CHUNKS_PER_WRITE = 8192
+_PARTS_PER_WRITE = 4096
 
 
-def _document_batches(doc) -> Iterator[str]:
-    """Canonical JSON (sorted keys, two-space indent, trailing newline) in pieces.
+def _write_json(doc, write) -> None:
+    """Pass ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` to ``write`` in batches.
 
-    The indenting encoder yields many tiny chunks; joining a few thousand at
-    a time keeps memory at one batch instead of the whole text, and costs no
-    more time than joining them all at once.
+    Strings go through the escaper ``json`` uses and other scalars through
+    ``json.dumps`` itself, so the bytes match; dict keys must be strings.  Any
+    iterator is written as an array, so rows may come from a generator and
+    are rendered only as they are written: memory holds one batch of parts,
+    never the whole text or answer.
     """
-    from json import JSONEncoder
+    from json import dumps
+    from json.encoder import encode_basestring_ascii as quote
 
-    chunks = JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
-    while batch := list(islice(chunks, _CHUNKS_PER_WRITE)):
-        yield "".join(batch)
-    yield "\n"
+    parts: list[str] = []
+    append = parts.append
+
+    def value(o, lead: str, indent: str) -> None:
+        """Append ``lead`` and the text of ``o``, whose inner lines start with ``indent``."""
+        if isinstance(o, str):
+            append(lead + quote(o))
+        elif o.__class__ is int:
+            append(lead + repr(o))
+        elif isinstance(o, dict):
+            inner = indent + "  "
+            comma, sep = "," + inner, lead + "{" + inner
+            for k, v in sorted(o.items()):
+                value(v, sep + quote(k) + ": ", inner)
+                sep = comma
+            append(indent + "}" if sep is comma else lead + "{}")
+        elif isinstance(o, (list, tuple, Iterator)):
+            inner = indent + "  "
+            comma, sep = "," + inner, lead + "[" + inner
+            for item in o:
+                value(item, sep, inner)
+                sep = comma
+                if len(parts) >= _PARTS_PER_WRITE:
+                    write("".join(parts))
+                    parts.clear()
+            append(indent + "]" if sep is comma else lead + "[]")
+        else:
+            append(lead + dumps(o))
+
+    value(doc, "", "\n")
+    append("\n")
+    write("".join(parts))
 
 
 def write_document(doc, out: TextIO) -> None:
     """Write the canonical JSON text of ``doc`` to ``out`` batch by batch."""
-    for batch in _document_batches(doc):
-        out.write(batch)
+    _write_json(doc, out.write)
 
 
 def document_text(doc) -> str:
     """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    return "".join(_document_batches(doc))
+    batches: list[str] = []
+    _write_json(doc, batches.append)
+    return "".join(batches)
 
 
 def parse_document(text: str):

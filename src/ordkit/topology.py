@@ -32,6 +32,18 @@ class FiniteTopology(Record):
         if tuple(sorted(set(opens))) != opens:
             raise OrdkitError("finite-topology", "topology", "opens must be sorted and distinct")
 
+    @classmethod
+    def _trusted(cls, n: int, opens: tuple[int, ...]) -> "FiniteTopology":
+        """Wrap opens already known to be sorted and distinct on ``n >= 1`` points.
+
+        ``from_preorder`` takes them from ``up_sets``, which returns them that
+        way, so sorting them again would only repeat the check.
+        """
+        t = object.__new__(cls)
+        _setattr(t, "n", n)
+        _setattr(t, "opens", opens)
+        return t
+
 
 def validate(family: Iterable[int], n: int) -> FiniteTopology:
     """Check the three topology axioms, reporting the first violated one."""
@@ -65,7 +77,7 @@ def validate(family: Iterable[int], n: int) -> FiniteTopology:
 
 def from_preorder(p: Preorder) -> FiniteTopology:
     """The topology whose opens are the up-sets of ``p``."""
-    return FiniteTopology(p.n, tuple(up_sets(p)))
+    return FiniteTopology._trusted(p.n, tuple(up_sets(p)))
 
 
 def minimal_open(t: FiniteTopology, x: int) -> int:

@@ -4,9 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ordkit
 from ordkit.cli import main
-from ordkit.textio import parse_document
+from ordkit.relations import enumerate_preorders
+from ordkit.textio import default_point_names, parse_document, render_preorder
 
 
 def run(capsys, *argv):
@@ -63,6 +66,22 @@ class TestPreorderCommands:
         )
         assert code == 1
         assert err.startswith("ERR cli-io.parse_preorder:")
+
+    def test_streamed_listing_and_count_agree(self, capsys):
+        for n in range(1, 5):
+            code, out, _ = run(capsys, "preorder", "enumerate", "--n", str(n))
+            names = default_point_names(n)
+            assert code == 0 and out.endswith("\n")
+            assert out.splitlines() == [render_preorder(p, names) for p in enumerate_preorders(n)]
+            count = run(capsys, "preorder", "enumerate", "--n", str(n), "--count")
+            assert count == (0, f"{len(out.splitlines())}\n", "")
+
+    @pytest.mark.parametrize("group, n", [("preorder", "0"), ("preorder", "6"), ("topology", "5")])
+    def test_listing_outside_the_guard_writes_nothing(self, capsys, group, n):
+        code, out, err = run(capsys, group, "enumerate", "--n", n)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("ERR ") and f"n={n} outside guard" in err
 
     def test_env_guard_lowers_enumeration(self, capsys, monkeypatch):
         monkeypatch.setenv("ORDKIT_MAX_N", "2")

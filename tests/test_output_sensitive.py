@@ -4,7 +4,8 @@
 distance to the target) and ``is_cm_bipartite`` (bitmask tests per matching)
 are compared with the n! scan, the all-paths filter and the validate-every-
 matching loop in ``tests/oracles.py``; ``write_document`` is compared with
-``document_text`` and with the plain ``json.dumps`` text.
+``document_text`` and with the plain ``json.dumps`` text, also when arrays
+arrive as generators.
 """
 
 import io
@@ -15,6 +16,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordkit.digraphs import Digraph, Edge, hom_paths
 from ordkit.edgerings import BipartiteGraph, is_cm_bipartite
@@ -249,3 +252,72 @@ class TestWriteDocument:
         write_document(doc, Recorder())
         assert len(writes) > 3
         assert "".join(writes) == document_text(doc)
+
+
+def materialised(doc):
+    """``doc`` with every iterator drained into a list, as ``json.dumps`` needs it."""
+    if isinstance(doc, dict):
+        return {k: materialised(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)) or hasattr(doc, "__next__"):
+        return [materialised(item) for item in doc]
+    return doc
+
+
+GENERATOR_DOCUMENTS = [
+    lambda: {"count": 0, "rows": (x for x in ())},
+    lambda: {"count": 1, "rows": ({"a": i} for i in range(1))},
+    lambda: {"rows": ((j for j in range(i)) for i in range(4)), "tail": iter([[], {}])},
+    lambda: ([i, str(i)] for i in range(3)),
+    lambda: iter(()),
+    lambda: {"rows": ({"i": i, "s": str(i), "t": (i, None)} for i in range(50_000))},
+]
+
+
+class TestGeneratorArrays:
+    @pytest.mark.parametrize("make", GENERATOR_DOCUMENTS)
+    def test_generator_text_equals_the_materialised_json(self, make):
+        expected = json.dumps(materialised(make()), indent=2, sort_keys=True) + "\n"
+        out = io.StringIO()
+        write_document(make(), out)
+        assert out.getvalue() == document_text(make()) == expected
+
+    def test_first_write_comes_before_the_rows_run_out(self):
+        rows_left = []
+
+        def rows():
+            for i in range(50_000):
+                rows_left.append(50_000 - i)
+                yield {"i": i, "s": str(i)}
+            rows_left.append(0)
+
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append((rows_left[-1], text))
+
+        out = Recorder()
+        write_document({"rows": rows()}, out)
+        assert out.writes[0][0] > 0 and len(out.writes) > 3
+        expected = json.dumps(materialised({"rows": rows()}), indent=2, sort_keys=True)
+        assert "".join(text for _, text in out.writes) == expected + "\n"
+
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text()),
+    lambda inner: st.one_of(st.lists(inner, max_size=5), st.dictionaries(st.text(), inner, max_size=5)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_writer_matches_json_dumps(doc):
+    assert document_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_unwritable_values_raise_type_error():
+    for doc in ({1: "a"}, {"rows": {1, 2}}, [b"bytes"]):
+        with pytest.raises(TypeError):
+            document_text(doc)

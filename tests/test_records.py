@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,10 @@ from ordkit.relations import (
     Preorder,
     PropertyFlags,
     Relation,
+    closure,
+    enumerate_preorders,
 )
-from ordkit.topology import FiniteTopology
+from ordkit.topology import FiniteTopology, from_preorder, validate
 
 
 def _chain(n):
@@ -189,6 +192,20 @@ def test_trusted_paths_equal_the_validated_ones():
     for path in grown:
         checked = Path(path.start, path.edges)
         assert path == checked and hash(path) == hash(checked)
+
+
+def test_trusted_topologies_equal_the_validated_ones():
+    rng = random.Random(15)
+    preorders = [p for n in range(1, 5) for p in enumerate_preorders(n)]
+    for density in (0.0,) + (0.02, 0.05, 0.1, 0.2) * 4:
+        pairs = [(x, y) for x in range(16) for y in range(16) if rng.random() < density]
+        preorders.append(closure(Relation.from_pairs(16, pairs)))
+    for p in preorders:
+        trusted = from_preorder(p)
+        checked = FiniteTopology(p.n, trusted.opens)
+        assert trusted == checked and hash(trusted) == hash(checked)
+        if p.n <= 4:
+            assert validate(checked.opens, p.n) == trusted
 
 
 def _message(make):
