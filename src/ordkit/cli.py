@@ -244,10 +244,9 @@ def _cmd_digraph_paths(args) -> int:
 def _cmd_digraph_homs(args) -> int:
     q, names = textio.parse_digraph(_read_source(args))
     index = {name: i for i, name in enumerate(names)}
-    for label in (args.source, args.target):
-        if label not in index:
-            raise ParseError(f"unknown vertex name {label!r}")
-    found = digraphs.hom_paths(q, index[args.source], index[args.target], args.max_length)
+    source = textio._lookup(index, args.source, "vertex")
+    target = textio._lookup(index, args.target, "vertex")
+    found = digraphs.hom_paths(q, source, target, args.max_length)
     return _emit(
         {
             "kind": "hom-paths",
@@ -325,7 +324,7 @@ def _cmd_ideal_to_upset(args) -> int:
 def _cmd_ideal_from_upset(args) -> int:
     chains = textio.parse_int_tuples(args.chains)
     if args.vars:
-        names = tuple(t.strip() for t in args.vars.split(","))
+        names = tuple(textio.parse_names(args.vars, "variable"))
         nvars = len(names)
     else:
         nvars = args.nvars
@@ -405,6 +404,9 @@ def _cmd_pattern_pre(args) -> int:
 
 
 def _bipartite_from(args) -> edgerings.BipartiteGraph:
+    if args.parts is not None and (args.input is not None or args.file is not None):
+        source = "--input" if args.input is not None else "--file"
+        raise ParseError(f"give exactly one input source, not both --parts and {source}")
     if args.parts:
         sides = args.parts.split("|")
         if len(sides) != 2:

@@ -13,7 +13,7 @@ command loads only what it uses.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING, Sequence, TextIO
 
 from .errors import OrdkitError
@@ -43,19 +43,67 @@ _NAME = re.compile(r"[a-z][a-z0-9]*(?:\.[a-z0-9]+)*")
 
 
 def _check_name(token: str, what: str) -> str:
-    token = token.strip()
     if not _NAME.fullmatch(token):
         raise ParseError(f"bad {what} name {token!r}")
     return token
 
 
+def _items(text: str) -> list[str]:
+    """The stripped, non-empty entries of a comma-separated list."""
+    return [item for item in map(str.strip, text.split(",")) if item]
+
+
 def parse_names(text: str, what: str) -> list[str]:
     """The names of a comma-separated list, each checked; empty entries are skipped."""
-    return [_check_name(t, what) for t in text.split(",") if t.strip()]
+    return [_check_name(t, what) for t in _items(text)]
 
 
-def _split_sections(text: str) -> list[str]:
-    return [part.strip() for part in text.split(";")]
+def _split(item: str, sep: str) -> tuple[str, str]:
+    """The stripped sides of ``a<sep>b``."""
+    if sep not in item:
+        raise ParseError(f"expected a{sep}b, got {item!r}")
+    left, _, right = item.partition(sep)
+    return left.strip(), right.strip()
+
+
+def _lookup(index: dict[str, int], name: str, what: str) -> int:
+    """``index[name]``, where a missing name is an unknown ``what`` name."""
+    if name not in index:
+        raise ParseError(f"unknown {what} name {name!r}")
+    return index[name]
+
+
+def _count_head(text: str, pattern: str) -> tuple[int, list[str]]:
+    """The count of the ``n=<k>`` part that ``pattern`` matches, and the parts after it."""
+    head, *parts = text.split(";")
+    m = re.fullmatch(pattern, head.strip())
+    if not m:
+        raise ParseError(f"expected n=<count> first, got {head.strip()!r}")
+    return int(m.group(1)), parts
+
+
+def _sections(parts: Iterable[str], keys: tuple[str, ...], what: str) -> dict:
+    """Each non-empty part by the key it starts with (``key:``); a later part
+    replaces an earlier one and any other part is an unknown section.
+
+    The name lists ``points:``, ``A:`` and ``B:`` are checked as ``what``
+    names as soon as they are met, so a bad name is reported before an
+    unknown section that follows it.
+    """
+    found = {}
+    for part in map(str.strip, parts):
+        if not part:
+            continue
+        key, colon, body = part.partition(":")
+        if not colon or key not in keys:
+            raise ParseError(f"unknown section {part!r}")
+        found[key] = parse_names(body, what) if key in ("points", "A", "B") else body
+    return found
+
+
+def _names(names: Sequence[str] | None, n: int) -> tuple[str, ...]:
+    """``names``, or ``p0 .. p<n-1>`` when a renderer is given none."""
+    return tuple(names) if names is not None else tuple(f"p{i}" for i in range(n))
 
 
 # ---------------------------------------------------------------- preorders
@@ -88,45 +136,19 @@ def parse_preorder(text: str, close: bool = True) -> tuple[Preorder, tuple[str, 
     With ``close`` the listed pairs are closed reflexively and transitively;
     without it the listed relation must already be a preorder on the nose.
     """
-    sections = _split_sections(text)
-    head = sections[0]
-    m = re.fullmatch(r"n\s*=\s*(\d+)", head)
-    if not m:
-        raise ParseError(f"expected n=<count> first, got {head!r}")
-    n = int(m.group(1))
-    points: list[str] | None = None
-    pair_text = ""
-    for part in sections[1:]:
-        if not part:
-            continue
-        if part.startswith("points:"):
-            points = parse_names(part[len("points:") :], "point")
-        elif part.startswith("pairs:"):
-            pair_text = part[len("pairs:") :]
-        else:
-            raise ParseError(f"unknown section {part!r}")
-    raw_pairs: list[tuple[str, str]] = []
-    for item in pair_text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "<=" not in item:
-            raise ParseError(f"expected a<=b, got {item!r}")
-        left, right = item.split("<=", 1)
-        raw_pairs.append((_check_name(left, "point"), _check_name(right, "point")))
-    if points is None:
-        points = list(default_point_names(n))
+    n, parts = _count_head(text, r"n\s*=\s*(\d+)")
+    found = _sections(parts, ("points", "pairs"), "point")
+    raw_pairs = [
+        [_check_name(side, "point") for side in _split(item, "<=")]
+        for item in _items(found.get("pairs", ""))
+    ]
+    points = found["points"] if "points" in found else default_point_names(n)
     if len(points) != n:
         raise ParseError(f"{len(points)} point names for n={n}")
     if len(set(points)) != n:
         raise ParseError("duplicate point names")
     index = {name: i for i, name in enumerate(points)}
-    pairs = []
-    for left, right in raw_pairs:
-        if left not in index or right not in index:
-            missing = left if left not in index else right
-            raise ParseError(f"unknown point name {missing!r}")
-        pairs.append((index[left], index[right]))
+    pairs = [[_lookup(index, name, "point") for name in pair] for pair in raw_pairs]
     if close:
         return closure(Relation.from_pairs(n, pairs)), tuple(points)
     listed = Relation.from_pairs(n, pairs)
@@ -144,7 +166,7 @@ def parse_preorder(text: str, close: bool = True) -> tuple[Preorder, tuple[str, 
 
 
 def render_preorder(p: Preorder, names: Sequence[str] | None = None) -> str:
-    names = tuple(names) if names is not None else tuple(f"p{i}" for i in range(p.n))
+    names = _names(names, p.n)
     parts = [f"n={p.n}", "points: " + ",".join(names)]
     strict = p.strict_pairs()
     if strict:
@@ -294,48 +316,29 @@ def parse_digraph(text: str) -> tuple[Digraph, tuple[str, ...]]:
     if ";" not in text and "\n" in text:
         head, *rest = [line.strip() for line in text.splitlines() if line.strip()]
         text = f"{head}; edges: {','.join(rest)}"
-    sections = _split_sections(text)
-    m = re.fullmatch(r"(?:n\s*=\s*)?(\d+)", sections[0])
-    if not m:
-        raise ParseError(f"expected n=<count> first, got {sections[0]!r}")
-    n = int(m.group(1))
-    points: list[str] | None = None
-    edge_text = ""
-    for part in sections[1:]:
-        if not part:
-            continue
-        if part.startswith("points:"):
-            points = parse_names(part[len("points:") :], "point")
-        elif part.startswith("edges:"):
-            edge_text = part[len("edges:") :]
-        else:
-            raise ParseError(f"unknown section {part!r}")
-    name_re = _NAME.pattern
-    raw: list[tuple[str, str, str | None]] = []
-    for item in edge_text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        m = re.fullmatch(rf"({name_re})\s*->\s*({name_re})(?:\s*:\s*({name_re}))?", item)
+    n, parts = _count_head(text, r"(?:n\s*=\s*)?(\d+)")
+    found = _sections(parts, ("points", "edges"), "point")
+    word = _NAME.pattern
+    edge = re.compile(rf"({word})\s*->\s*({word})(?:\s*:\s*({word}))?")
+    raw = []
+    for item in _items(found.get("edges", "")):
+        m = edge.fullmatch(item)
         if not m:
             raise ParseError(f"expected src->dst:label, got {item!r}")
-        raw.append((m.group(1), m.group(2), m.group(3)))
-    if points is None:
-        points = list(default_vertex_names(n))
+        raw.append(m.groups())
+    points = found["points"] if "points" in found else default_vertex_names(n)
     if len(points) != n or len(set(points)) != n:
         raise ParseError(f"need {n} distinct vertex names")
     index = {name: i for i, name in enumerate(points)}
-    edges = []
-    for k, (src, dst, label) in enumerate(raw):
-        if src not in index or dst not in index:
-            missing = src if src not in index else dst
-            raise ParseError(f"unknown vertex name {missing!r}")
-        edges.append(Edge(index[src], index[dst], label if label is not None else f"e{k}"))
-    return Digraph(n, tuple(edges)), tuple(points)
+    edges = tuple(
+        Edge(_lookup(index, src, "vertex"), _lookup(index, dst, "vertex"), label or f"e{k}")
+        for k, (src, dst, label) in enumerate(raw)
+    )
+    return Digraph(n, edges), tuple(points)
 
 
 def render_digraph(q: Digraph, names: Sequence[str] | None = None) -> str:
-    names = tuple(names) if names is not None else tuple(f"p{i}" for i in range(q.n))
+    names = _names(names, q.n)
     parts = [f"n={q.n}", "points: " + ",".join(names)]
     if q.edges:
         parts.append(
@@ -351,43 +354,25 @@ def parse_graph(text: str) -> SimpleGraph:
     """Grammar: ``[points: a,b,c;] edges: a-b, b-c`` or a bare edge list."""
     from .edgerings import SimpleGraph
 
-    sections = _split_sections(text)
-    points: list[str] | None = None
-    edge_text = None
-    for part in sections:
-        if not part:
-            continue
-        if part.startswith("points:"):
-            points = parse_names(part[len("points:") :], "vertex")
-        elif part.startswith("edges:"):
-            edge_text = part[len("edges:") :]
-        elif edge_text is None and points is None and ":" not in part:
-            edge_text = part
-        else:
-            raise ParseError(f"unknown section {part!r}")
-    names: list[str] = list(points) if points is not None else []
+    parts = [part for part in map(str.strip, text.split(";")) if part]
+    if parts and ":" not in parts[0]:
+        parts[0] = "edges:" + parts[0]
+    found = _sections(parts, ("points", "edges"), "vertex")
+    points = found.get("points")
+    index = {name: i for i, name in enumerate(points or ())}
     raw = []
-    for item in (edge_text or "").split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "-" not in item:
-            raise ParseError(f"expected a-b, got {item!r}")
-        a, b = item.split("-", 1)
-        a, b = _check_name(a, "vertex"), _check_name(b, "vertex")
-        for name in (a, b):
-            if points is not None and name not in names:
-                raise ParseError(f"unknown vertex name {name!r}")
-            if name not in names:
-                names.append(name)
-        raw.append((a, b))
-    index = {name: i for i, name in enumerate(names)}
+    for item in _items(found.get("edges", "")):
+        a, b = [_check_name(side, "vertex") for side in _split(item, "-")]
+        if points is None:
+            index.setdefault(a, len(index))
+            index.setdefault(b, len(index))
+        raw.append((a, _lookup(index, a, "vertex"), _lookup(index, b, "vertex")))
     edges = set()
-    for a, b in raw:
-        i, j = index[a], index[b]
+    for a, i, j in raw:
         if i == j:
             raise ParseError(f"loop at vertex {a!r}")
         edges.add((min(i, j), max(i, j)))
+    names = points if points is not None else list(index)
     return SimpleGraph(tuple(names), tuple(sorted(edges)))
 
 
@@ -402,33 +387,17 @@ def parse_bipartite(text: str) -> BipartiteGraph:
     """Grammar: ``A: a,c | B: b,d | edges: a-b, c-d``."""
     from .edgerings import BipartiteGraph
 
-    parts = [part.strip() for part in text.split("|")]
-    a_names: list[str] | None = None
-    b_names: list[str] | None = None
-    edge_text = ""
-    for part in parts:
-        if part.startswith("A:"):
-            a_names = parse_names(part[2:], "vertex")
-        elif part.startswith("B:"):
-            b_names = parse_names(part[2:], "vertex")
-        elif part.startswith("edges:"):
-            edge_text = part[len("edges:") :]
-        elif part:
-            raise ParseError(f"unknown section {part!r}")
-    if a_names is None or b_names is None:
+    found = _sections(text.split("|"), ("A", "B", "edges"), "vertex")
+    if "A" not in found or "B" not in found:
         raise ParseError("need both 'A:' and 'B:' sections")
+    a_names, b_names = found["A"], found["B"]
     if set(a_names) & set(b_names):
         raise ParseError("sides A and B must not share names")
     a_index = {name: i for i, name in enumerate(a_names)}
     b_index = {name: j for j, name in enumerate(b_names)}
     rows = [0] * len(a_names)
-    for item in edge_text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "-" not in item:
-            raise ParseError(f"expected a-b, got {item!r}")
-        left, right = (t.strip() for t in item.split("-", 1))
+    for item in _items(found.get("edges", "")):
+        left, right = _split(item, "-")
         if left in b_index and right in a_index:
             left, right = right, left
         if left not in a_index or right not in b_index:
@@ -489,41 +458,26 @@ def parse_topology(text: str) -> tuple[FiniteTopology, tuple[str, ...]]:
     """Grammar: ``points: a,b; opens: {}, {a}, {a,b}`` (axioms are checked)."""
     from .topology import validate
 
-    sections = _split_sections(text)
-    points: list[str] | None = None
-    opens_text = None
-    for part in sections:
-        if not part:
-            continue
-        if part.startswith("points:"):
-            points = parse_names(part[len("points:") :], "point")
-        elif part.startswith("opens:"):
-            opens_text = part[len("opens:") :]
-        else:
-            raise ParseError(f"unknown section {part!r}")
-    if points is None or opens_text is None:
+    found = _sections(text.split(";"), ("points", "opens"), "point")
+    if "points" not in found or "opens" not in found:
         raise ParseError("need both 'points:' and 'opens:' sections")
+    points = found["points"]
     if len(set(points)) != len(points):
         raise ParseError("duplicate point names")
     index = {name: i for i, name in enumerate(points)}
     masks = []
-    for m in re.finditer(r"\{([^{}]*)\}|([^\s,{}]+)", opens_text):
+    for m in re.finditer(r"\{([^{}]*)\}|([^\s,{}]+)", found["opens"]):
         if m.group(2) is not None:
             raise ParseError(f"expected {{...}} set, got {m.group(2)!r}")
         mask = 0
-        for token in m.group(1).split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if token not in index:
-                raise ParseError(f"unknown point name {token!r}")
-            mask |= 1 << index[token]
+        for token in _items(m.group(1)):
+            mask |= 1 << _lookup(index, token, "point")
         masks.append(mask)
     return validate(masks, len(points)), tuple(points)
 
 
 def render_topology(t: FiniteTopology, names: Sequence[str] | None = None) -> str:
-    names = tuple(names) if names is not None else tuple(f"p{i}" for i in range(t.n))
+    names = _names(names, t.n)
     opens = ", ".join("{" + ",".join(names[x] for x in _bits(mask)) + "}" for mask in t.opens)
     return "points: " + ",".join(names) + "; opens: " + opens
 
@@ -554,7 +508,7 @@ def render_int_tuples(tuples: Sequence[Sequence[int]]) -> str:
 
 def render_hasse(p: Preorder, names: Sequence[str] | None = None) -> str:
     """Hasse diagram of the bubble quotient in DOT, greater elements above."""
-    names = tuple(names) if names is not None else tuple(f"p{i}" for i in range(p.n))
+    names = _names(names, p.n)
     dec = bubbles(p)
     labels = [",".join(names[x] for x in block) for block in dec.blocks]
     q = dec.quotient
@@ -570,7 +524,7 @@ def render_hasse(p: Preorder, names: Sequence[str] | None = None) -> str:
 
 
 def render_digraph_dot(q: Digraph, names: Sequence[str] | None = None) -> str:
-    names = tuple(names) if names is not None else tuple(f"p{i}" for i in range(q.n))
+    names = _names(names, q.n)
     lines = ["digraph g {"]
     lines.extend(f'  "{name}";' for name in names)
     lines.extend(

@@ -131,6 +131,12 @@ class TestDigraphCommands:
         assert doc["count"] == 3
         assert sorted(p["word"] for p in doc["paths"]) == ["eg", "fg", "h"]
 
+    @pytest.mark.parametrize("source, target", [("q", "c"), ("a", "q")])
+    def test_homs_unknown_vertex(self, capsys, source, target):
+        argv = ["--input", self.EXAMPLE, "--source", source, "--target", target]
+        code, out, err = run(capsys, "digraph", "homs", *argv)
+        assert (code, out, err) == (2, "", "parse error: unknown vertex name 'q'\n")
+
     def test_cycle_complete_is_domain_error(self, capsys):
         code, _, err = run(
             capsys, "digraph", "paths", "--input", "n=2; edges: a->b:u, b->a:v", "--complete"
@@ -182,6 +188,15 @@ class TestIdealCommands:
         chains = parse_document(out)["text"]
         _, out, _ = run(capsys, "ideal", "from-upset", "--chains", chains, "--vars", "x,y")
         assert parse_document(out)["generators"] == ["y^3", "x*y", "x^2"]
+
+    @pytest.mark.parametrize("names, bad", [("x y,z", "x y"), ("A,,b", "A"), ("x,y-z", "y-z")])
+    def test_from_upset_rejects_bad_variable_names(self, capsys, names, bad):
+        code, out, err = run(capsys, "ideal", "from-upset", "--chains", "0,1", "--vars", names)
+        assert (code, out, err) == (2, "", f"parse error: bad variable name {bad!r}\n")
+
+    def test_from_upset_skips_empty_variable_entries(self, capsys):
+        _, out, _ = run(capsys, "ideal", "from-upset", "--chains", "0,1", "--vars", " x,, y ")
+        assert parse_document(out)["vars"] == ["x", "y"]
 
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "ideal", "preorder", "--gens", "x^^2")
@@ -297,6 +312,16 @@ class TestGraphCommands:
             capsys, "graph", "linres", "--edges", "a-b,b-c,c-d", "--parts", "a,c|b,d"
         )
         assert parse_document(out)["value"] is True
+
+    @pytest.mark.parametrize("command", ["cm-bipartite", "linres"])
+    @pytest.mark.parametrize(
+        "flag, value", [("--input", "A: a | B: b | edges: a-b"), ("--file", "/nonexistent")]
+    )
+    def test_parts_with_another_source_is_rejected(self, capsys, command, flag, value):
+        argv = ["--parts", "a|b", "--edges", "a-b", flag, value]
+        code, out, err = run(capsys, "graph", command, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: give exactly one input source, not both --parts and {flag}\n"
 
     def test_dim_gens_and_poset(self, capsys):
         _, out, _ = run(capsys, "graph", "dim", "--gens", "v^2, v*w, w^2")

@@ -34,9 +34,8 @@ from ordkit.textio import (
 from ordkit.topology import from_preorder
 
 
-names_st = st.lists(
-    st.from_regex(r"[a-z][a-z0-9]{0,3}", fullmatch=True), min_size=1, max_size=5, unique=True
-)
+name_st = st.from_regex(r"[a-z][a-z0-9]{0,3}", fullmatch=True)
+names_st = st.lists(name_st, min_size=1, max_size=5, unique=True)
 
 preorder_with_names = names_st.flatmap(
     lambda names: st.tuples(
@@ -46,6 +45,34 @@ preorder_with_names = names_st.flatmap(
         ),
     )
 )
+
+
+@st.composite
+def digraphs_with_names(draw):
+    names = tuple(draw(names_st))
+    n = len(names)
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6))
+    labels = draw(st.lists(name_st, min_size=len(ends), max_size=len(ends), unique=True))
+    edges = tuple(Edge(src, dst, label) for (src, dst), label in zip(ends, labels))
+    return Digraph(n, edges), names
+
+
+@st.composite
+def simple_graphs(draw):
+    names = tuple(draw(names_st))
+    n = len(names)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return SimpleGraph(names, tuple(sorted(edges)))
+
+
+@st.composite
+def bipartite_graphs(draw):
+    names = tuple(draw(names_st))
+    k = draw(st.integers(0, len(names)))
+    a_names, b_names = names[:k], names[k:]
+    row = st.integers(0, (1 << len(b_names)) - 1)
+    return BipartiteGraph(a_names, b_names, tuple(draw(row) for _ in a_names))
 
 
 class TestPreorderGrammar:
@@ -151,6 +178,12 @@ class TestDigraphGrammar:
         assert names == ("a", "b", "c")
         assert [e.label for e in q.edges] == ["e", "g"]
 
+    @settings(max_examples=80)
+    @given(digraphs_with_names())
+    def test_round_trip_property(self, case):
+        q, names = case
+        assert parse_digraph(render_digraph(q, names)) == (q, names)
+
     def test_round_trip(self):
         q = Digraph(3, (Edge(0, 1, "e"), Edge(0, 1, "f"), Edge(1, 2, "g")))
         names = ("a", "b", "c")
@@ -171,6 +204,11 @@ class TestGraphGrammar:
         with pytest.raises(ParseError, match="loop"):
             parse_graph("a-a")
 
+    @settings(max_examples=80)
+    @given(simple_graphs())
+    def test_round_trip_property(self, g):
+        assert parse_graph(render_graph(g)) == g
+
     def test_round_trip(self):
         g = SimpleGraph(("a", "b", "c"), ((0, 1), (0, 2)))
         assert parse_graph(render_graph(g)) == g
@@ -185,6 +223,11 @@ class TestBipartiteGrammar:
     def test_edge_within_one_side_rejected(self):
         with pytest.raises(ParseError, match="does not join"):
             parse_bipartite("A: a,c | B: b,d | edges: a-c")
+
+    @settings(max_examples=80)
+    @given(bipartite_graphs())
+    def test_round_trip_property(self, g):
+        assert parse_bipartite(render_bipartite(g)) == g
 
     def test_round_trip(self):
         g = BipartiteGraph(("a", "c"), ("b", "d"), (0b01, 0b11))
@@ -223,6 +266,13 @@ class TestTopologyGrammar:
     def test_unknown_point(self):
         with pytest.raises(ParseError, match="unknown point"):
             parse_topology("points: a,b; opens: {}, {c}, {a,b}")
+
+    @settings(max_examples=80)
+    @given(preorder_with_names)
+    def test_round_trip_property(self, case):
+        names, p = case
+        t = from_preorder(p)
+        assert parse_topology(render_topology(t, names)) == (t, names)
 
     def test_round_trip(self):
         for p in [Preorder.chain(3), Preorder.discrete(2), Preorder.coarse(2)]:
@@ -287,3 +337,84 @@ class TestDocuments:
     def test_round_trip_any_document(self, doc):
         text = document_text(doc)
         assert document_text(parse_document(text)) == text
+
+
+# One input per ParseError message of the five section grammars, plus the
+# cases whose message depends on which check runs first.
+GRAMMAR_ERRORS = [
+    (parse_preorder, "2; pairs: v<=w", "expected n=<count> first, got '2'"),
+    (parse_preorder, "n=2; foo: x", "unknown section 'foo: x'"),
+    (parse_preorder, "n=2; points: a,B", "bad point name 'B'"),
+    (parse_preorder, "n=2; pairs: v<=W", "bad point name 'W'"),
+    (parse_preorder, "n=2; pairs: v-w", "expected a<=b, got 'v-w'"),
+    (parse_preorder, "n=2; points: a,b,c", "3 point names for n=2"),
+    (parse_preorder, "n=2; points: a,a", "duplicate point names"),
+    (parse_preorder, "n=2; pairs: v<=u", "unknown point name 'u'"),
+    (parse_preorder, "n=2; points: a,B; foo", "bad point name 'B'"),
+    (parse_preorder, "n=2; points: A; points: a,b", "bad point name 'A'"),
+    (parse_preorder, "n=2; pairs: v-w, x; foo", "unknown section 'foo'"),
+    (parse_digraph, "n=x; edges: a->b", "expected n=<count> first, got 'n=x'"),
+    (parse_digraph, "n=2; pairs: a<=b", "unknown section 'pairs: a<=b'"),
+    (parse_digraph, "n=2; points: a,B", "bad point name 'B'"),
+    (parse_digraph, "n=2; edges: a-b", "expected src->dst:label, got 'a-b'"),
+    (parse_digraph, "n=2; points: a,b,c", "need 2 distinct vertex names"),
+    (parse_digraph, "n=2; points: a,a", "need 2 distinct vertex names"),
+    (parse_digraph, "n=2; edges: c->a", "unknown vertex name 'c'"),
+    (parse_digraph, "2\na->b\nb->x", "unknown vertex name 'x'"),
+    (parse_digraph, "n=2; points: x,Y; foo", "bad point name 'Y'"),
+    (parse_digraph, "n=2; points: A; points: a,b", "bad point name 'A'"),
+    (parse_graph, "foo: a-b", "unknown section 'foo: a-b'"),
+    (parse_graph, "points: a,B", "bad vertex name 'B'"),
+    (parse_graph, "a-B", "bad vertex name 'B'"),
+    (parse_graph, "a+b", "expected a-b, got 'a+b'"),
+    (parse_graph, "points: a,b; edges: a-c", "unknown vertex name 'c'"),
+    (parse_graph, "a-b, b-b", "loop at vertex 'b'"),
+    (parse_graph, "points: a,B; foo", "bad vertex name 'B'"),
+    (parse_graph, "points: A; points: a,b", "bad vertex name 'A'"),
+    (parse_graph, "points: a,b; a-b", "unknown section 'a-b'"),
+    (parse_graph, "a-b; c-d", "unknown section 'c-d'"),
+    (parse_graph, "edges: a-b; c-d", "unknown section 'c-d'"),
+    (parse_bipartite, "A: a | B: b | foo", "unknown section 'foo'"),
+    (parse_bipartite, "A: a,C | B: b", "bad vertex name 'C'"),
+    (parse_bipartite, "A: a | B: b,C", "bad vertex name 'C'"),
+    (parse_bipartite, "A: a | B: b | edges: a+b", "expected a-b, got 'a+b'"),
+    (parse_bipartite, "A: a | B: a", "sides A and B must not share names"),
+    (parse_bipartite, "A: a,c | B: b | edges: a-c", "edge 'a-c' does not join side A to side B"),
+    (parse_bipartite, "A: a,C | B: b | foo", "bad vertex name 'C'"),
+    (parse_bipartite, "A: C | A: a | B: b", "bad vertex name 'C'"),
+    (parse_bipartite, "B: b | edges: a-b", "need both 'A:' and 'B:' sections"),
+    (parse_bipartite, "A: a", "need both 'A:' and 'B:' sections"),
+    (parse_topology, "points: a; opens: {}, {a}; foo", "unknown section 'foo'"),
+    (parse_topology, "points: a,B; opens: {}", "bad point name 'B'"),
+    (parse_topology, "points: a", "need both 'points:' and 'opens:' sections"),
+    (parse_topology, "opens: {}", "need both 'points:' and 'opens:' sections"),
+    (parse_topology, "points: a,a; opens: {}", "duplicate point names"),
+    (parse_topology, "points: a; opens: {}, a", "expected {...} set, got 'a'"),
+    (parse_topology, "points: a; opens: {}, {b}", "unknown point name 'b'"),
+    (parse_topology, "points: a,B; foo", "bad point name 'B'"),
+    (parse_topology, "points: A; points: a; opens: {}, {a}", "bad point name 'A'"),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, text, expected",
+    GRAMMAR_ERRORS,
+    ids=[f"{parse.__name__}:{text}" for parse, text, _ in GRAMMAR_ERRORS],
+)
+def test_grammar_messages_are_unchanged(parse, text, expected):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == "parse error: " + expected
+
+
+@pytest.mark.parametrize(
+    "parse, text, same_as",
+    [
+        (parse_preorder, "n=2;; ; pairs: w<=v ;", "n=2; pairs: w<=v"),
+        (parse_preorder, "n=2; pairs: v-w; pairs: v<=w", "n=2; pairs: v<=w"),
+        (parse_graph, ";; a-b; edges: c-d", "edges: c-d"),
+        (parse_topology, "opens: {}, {a}; points: b; points: a", "points: a; opens: {}, {a}"),
+    ],
+)
+def test_empty_parts_are_skipped_and_a_later_section_replaces_an_earlier_one(parse, text, same_as):
+    assert parse(text) == parse(same_as)
