@@ -73,8 +73,9 @@ def _emit(doc) -> int:
 def _read_source(args, attr: str = "input", file_attr: str = "file") -> str:
     inline = getattr(args, attr, None)
     path = getattr(args, file_attr, None)
+    flags = "--" + attr.replace("_", "-"), "--" + file_attr.replace("_", "-")
     if inline is not None and path is not None:
-        raise ParseError("give exactly one input source, not both --input and --file")
+        raise ParseError(f"give exactly one input source, not both {flags[0]} and {flags[1]}")
     if path is not None:
         from pathlib import Path
 
@@ -83,7 +84,7 @@ def _read_source(args, attr: str = "input", file_attr: str = "file") -> str:
         except OSError as exc:
             raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     if inline is None:
-        raise ParseError("missing input: use --input or --file")
+        raise ParseError(f"missing input: use {flags[0]} or {flags[1]}")
     return inline
 
 
@@ -326,6 +327,8 @@ def _cmd_ideal_from_upset(args) -> int:
     if args.vars:
         names = tuple(textio.parse_names(args.vars, "variable"))
         nvars = len(names)
+        if len(set(names)) != nvars:
+            raise ParseError("duplicate variable names")
     else:
         nvars = args.nvars
         if nvars is None:
@@ -404,9 +407,11 @@ def _cmd_pattern_pre(args) -> int:
 
 
 def _bipartite_from(args) -> edgerings.BipartiteGraph:
-    if args.parts is not None and (args.input is not None or args.file is not None):
-        source = "--input" if args.input is not None else "--file"
-        raise ParseError(f"give exactly one input source, not both --parts and {source}")
+    """The graph of ``--parts`` with ``--edges``, or of the full text of ``--input``/``--file``."""
+    source = "--input" if args.input is not None else "--file" if args.file is not None else None
+    for flag in ("parts", "edges"):
+        if source and getattr(args, flag) is not None:
+            raise ParseError(f"give exactly one input source, not both --{flag} and {source}")
     if args.parts:
         sides = args.parts.split("|")
         if len(sides) != 2:

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+import itertools
 
 from .errors import OrdkitError
-from .relations import MAX_POINTS, Preorder, Record, Relation, _setattr, closure
+from .relations import Preorder, Record, Relation, _setattr, check_point_count, closure
 
 MAX_VERTICES = 1 << 16
 
@@ -92,18 +92,6 @@ class Path(Record):
                 )
             at = e.dst
 
-    @classmethod
-    def _trusted(cls, start: int, edges: tuple[Edge, ...]) -> "Path":
-        """Wrap edges already known to compose from ``start``.
-
-        ``_grow`` extends a path by an edge out of its end, which composes by
-        construction, so re-walking the prefix would only repeat the check.
-        """
-        path = object.__new__(cls)
-        _setattr(path, "start", start)
-        _setattr(path, "edges", edges)
-        return path
-
     @property
     def end(self) -> int:
         return self.edges[-1].dst if self.edges else self.start
@@ -143,6 +131,7 @@ def _grow(q: Digraph, layer: list[Path], limit: int, dist: list) -> list[Path]:
     A path grows by each edge out of its end, in edge order, whose head can
     still reach a target with the edges left: ``dist[v]`` is the length of a
     shortest path from v to a target, and 0 everywhere keeps every path.
+    An edge out of a path's end composes with it, so no path is checked again.
     """
     out_edges = _out_edges(q)
     extend = Path._trusted
@@ -203,10 +192,7 @@ def hom_paths(q: Digraph, a: int, b: int, limit: int | None = None) -> list[Path
 
 def reachability_preorder(q: Digraph) -> Preorder:
     """x <= y when some (possibly empty) path runs from x to y."""
-    if not 1 <= q.n <= MAX_POINTS:
-        raise OrdkitError(
-            "digraph-paths", "reachability_preorder", f"point count {q.n} outside 1..{MAX_POINTS}"
-        )
+    check_point_count(q.n, "digraph-paths", "reachability_preorder")
     return closure(Relation.from_pairs(q.n, [(e.src, e.dst) for e in q.edges]))
 
 
@@ -216,27 +202,13 @@ def digraph_of_preorder(p: Preorder) -> Digraph:
     return Digraph(p.n, edges)
 
 
-def _vertex_maps(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    stack = [()]
-    while stack:
-        head = stack.pop()
-        if len(head) == n:
-            yield head
-            continue
-        for v in range(m - 1, -1, -1):
-            stack.append(head + (v,))
-
-
 def count_digraph_homs(q: Digraph, d: Digraph) -> int:
     """Number of (vertex map, edge map) pairs preserving incidence."""
     arrow_count: dict[tuple[int, int], int] = {}
     for e in d.edges:
         arrow_count[(e.src, e.dst)] = arrow_count.get((e.src, e.dst), 0) + 1
     total = 0
-    for f in _vertex_maps(q.n, d.n):
+    for f in itertools.product(range(d.n), repeat=q.n):
         ways = 1
         for e in q.edges:
             ways *= arrow_count.get((f[e.src], f[e.dst]), 0)

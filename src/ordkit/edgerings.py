@@ -8,7 +8,7 @@ in rendered output.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import OrdkitError
 from .monomials import Monomial, MonomialIdeal, minimalize
@@ -17,8 +17,10 @@ from .relations import (
     Preorder,
     Record,
     Relation,
+    _assignments,
     _bits,
     _setattr,
+    _transpose,
     classify,
     monotone_maps,
     up_sets,
@@ -218,53 +220,44 @@ def antichain_dimension(order: Preorder) -> int:
     return len(up_sets(order))
 
 
-def _perfect_matchings(g: BipartiteGraph) -> Iterator[tuple[int, ...]]:
-    """Matchings as B-index tuples over A in order, lexicographically ascending."""
-    size = len(g.a_names)
-    used = 0
-    pick: list[int] = []
-
-    def extend(i: int) -> Iterator[tuple[int, ...]]:
-        nonlocal used
-        if i == size:
-            yield tuple(pick)
-            return
-        for j in _bits(g.relation[i] & ~used):
-            used |= 1 << j
-            pick.append(j)
-            yield from extend(i + 1)
-            pick.pop()
-            used ^= 1 << j
-
-    yield from extend(0)
-
-
 def is_cm_bipartite(g: BipartiteGraph) -> CMWitness | None:
     """Search for a matching that turns the relation into a partial order.
 
-    Candidate diagonals are perfect matchings of the graph itself, since a
-    reflexive identification must use actual edges; the lexicographically
-    smallest matching that validates wins.  Bit j of row i says that A_i is
-    joined to the match of A_j, so every row is reflexive by construction;
-    transitivity and antisymmetry are tested on the rows directly, and only
-    the winner becomes a ``Preorder``.  Empty sides have no point set and
-    give no witness.
+    A_0, A_1, ... are matched in turn to unused B-vertices joined to them,
+    since a reflexive identification must use actual edges.  Bit j of row i
+    says that A_i is joined to the match of A_j, so every row is reflexive by
+    construction.  A match is allowed only when the rows on the points
+    matched so far stay transitive and antisymmetric; a partial order stays
+    one on every subset of its points, so the cut loses no witness, and the
+    first complete matching is the lexicographically smallest valid one.
+    Empty sides have no point set and give no witness.
     """
     if len(g.a_names) > CM_SIDE_CAP or len(g.b_names) > CM_SIDE_CAP:
         raise OrdkitError("edge-rings", "is_cm_bipartite", f"side exceeds guard {CM_SIDE_CAP}")
     n = len(g.a_names)
     if n != len(g.b_names) or n == 0:
         return None
-    for matching in _perfect_matchings(g):
-        rows = tuple(
-            sum(1 << j for j, b in enumerate(matching) if rel >> b & 1) for rel in g.relation
-        )
-        if all(
-            rows[j] & ~row == 0 and not rows[j] >> i & 1
-            for i, row in enumerate(rows)
-            for j in _bits(row & ~(1 << i))
-        ):
-            return CMWitness(matching, Preorder(Relation(n, rows)))
+    relation, column = g.relation, _transpose(g.relation)
+
+    def rows_of(matched: Sequence[int]) -> list[int]:
+        return [sum(1 << j for j, b in enumerate(matched) if rel >> b & 1) for rel in relation]
+
+    def allowed(matched: list[int]) -> int:
+        k, rows = len(matched), rows_of(matched)
+        above, earlier = rows[k], (1 << k) - 1  # above: the matched points that A_k lies below
+        # Close A_k <= j <= l, i <= A_k <= j and i <= j <= A_k, with no j on both sides of A_k.
+        if any(rows[j] & ~above for j in _bits(above)):
+            return 0
+        ok = 0
+        for b in _bits(relation[k] & ~sum(1 << c for c in matched)):
+            below = column[b] & earlier  # the matched points that matching A_k to b puts below it
+            if not below & above and all(above & ~rows[i] == 0 for i in _bits(below)):
+                if all(rows[i] & below == 0 for i in _bits(earlier & ~below)):
+                    ok |= 1 << b
+        return ok
+
+    for matching in _assignments(n, allowed):
+        return CMWitness(matching, Preorder(Relation(n, tuple(rows_of(matching)))))
     return None
 
 
@@ -303,7 +296,13 @@ def co_letterplace(
     depth: int | None = None,
     names: Sequence[str] | None = None,
 ) -> SquarefreeIdeal:
-    """Generators are the graphs of an explicit down-set of maps into {0..depth}."""
+    """Generators are the graphs of an explicit down-set of maps into {0..depth}.
+
+    Lowering a listed f by one at a point x where that stays monotone must
+    give a listed map.  That is enough: if f lies above an unlisted g, x
+    minimal among the points where f > g gives such a map, still above g.
+    The first listed f in ascending order that fails names its first missing map.
+    """
     if not classify(order).partial_order:
         raise OrdkitError("edge-rings", "co_letterplace", "preorder is not antisymmetric")
     n = order.n
@@ -323,18 +322,17 @@ def co_letterplace(
             raise OrdkitError("edge-rings", "co_letterplace", f"map {f} exceeds depth {d}")
         MonotoneMap(order, target, f)  # raises when not order preserving
     listed_set = set(listed)
-    for g in monotone_maps(order, target):
-        if g.values in listed_set:
-            continue
-        if any(all(a <= b for a, b in zip(g.values, f)) for f in listed_set):
-            raise OrdkitError(
-                "edge-rings",
-                "co_letterplace",
-                f"down-set violation: missing pointwise-smaller map {g.values}",
-            )
+    listed = sorted(listed_set)
+    strictly_below = [row & ~(1 << x) for x, row in enumerate(_transpose(order.rows))]
+    for f in listed:
+        for x in range(n):
+            g = f[:x] + (f[x] - 1,) + f[x + 1 :]
+            if f[x] and all(f[y] < f[x] for y in _bits(strictly_below[x])) and g not in listed_set:
+                message = f"down-set violation: missing pointwise-smaller map {g}"
+                raise OrdkitError("edge-rings", "co_letterplace", message)
     ground = tuple(f"{v}.{k}" for v in names for k in range(d + 1))
     gens = []
-    for f in sorted(listed_set):
+    for f in listed:
         exps = [0] * (n * (d + 1))
         for x in range(n):
             exps[x * (d + 1) + f[x]] = 1

@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import OrdkitError
-from .relations import MAX_POINTS, Preorder, Record, Relation, _setattr, classify
+from .relations import Preorder, Record, Relation, _setattr, check_point_count, classify
 
 Monomial = tuple[int, ...]
 
@@ -63,14 +63,6 @@ class MonomialIdeal(Record):
             for b in gens:
                 if a != b and divides(a, b):
                     raise OrdkitError("monomial-ideals", "ideal", f"generator {a} divides {b}")
-
-    @classmethod
-    def _trusted(cls, nvars: int, gens: tuple[Monomial, ...]) -> "MonomialIdeal":
-        """Wrap generators already known to be valid, sorted, distinct and an antichain."""
-        ideal = object.__new__(cls)
-        _setattr(ideal, "nvars", nvars)
-        _setattr(ideal, "gens", gens)
-        return ideal
 
     @property
     def is_zero(self) -> bool:
@@ -121,10 +113,7 @@ def associated_preorder(ideal: MonomialIdeal) -> Preorder:
     so the generator-level check is equivalent to the quantified definition.
     """
     n = ideal.nvars
-    if not 1 <= n <= MAX_POINTS:
-        raise OrdkitError(
-            "monomial-ideals", "associated_preorder", f"point count {n} outside 1..{MAX_POINTS}"
-        )
+    check_point_count(n, "monomial-ideals", "associated_preorder")
     rows = []
     for x in range(n):
         row = 0

@@ -37,6 +37,32 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _transpose(rows: Sequence[int]) -> list[int]:
+    """The square bit matrix read by columns: bit x of entry y is bit y of ``rows[x]``."""
+    return [sum(1 << x for x, row in enumerate(rows) if row >> y & 1) for y in range(len(rows))]
+
+
+def _assignments(n: int, allowed: Callable[[list[int]], int]) -> Iterator[tuple[int, ...]]:
+    """Each tuple of ``n >= 1`` values whose value at x is a bit of ``allowed(prefix)``.
+
+    ``prefix`` holds the values at 0..x-1.  The tuples come in ascending
+    order, and a prefix with no allowed value cuts its whole subtree.
+    """
+    values: list[int] = []
+    masks = [allowed(values)]
+    while masks:
+        mask = masks.pop()
+        del values[len(masks) :]
+        if mask:
+            low = mask & -mask
+            masks.append(mask ^ low)
+            values.append(low.bit_length() - 1)
+            if len(values) == n:
+                yield tuple(values)
+            else:
+                masks.append(allowed(values))
+
+
 _setattr = object.__setattr__
 
 
@@ -79,11 +105,19 @@ class Record:
         # Copying and pickling rebuild through __init__, which assigns the slots.
         return self.__class__, tuple(getattr(self, name) for name in self._fields)
 
+    @classmethod
+    def _trusted(cls, *values):
+        """The record of field values, in field order, that the caller has shown valid."""
+        record = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            _setattr(record, name, value)
+        return record
 
-def check_point_count(n: int) -> None:
+
+def check_point_count(n: int, module: str = "order-core", op: str = "relation") -> None:
     """Reject a carrier size outside 1..MAX_POINTS before anything is built for it."""
     if not 1 <= n <= MAX_POINTS:
-        raise OrdkitError("order-core", "relation", f"point count {n} outside 1..{MAX_POINTS}")
+        raise OrdkitError(module, op, f"point count {n} outside 1..{MAX_POINTS}")
 
 
 class Relation(Record):
@@ -349,7 +383,7 @@ def enumerate_preorders(n: int) -> Iterator[Preorder]:
 
     def extend(k: int) -> Iterator[Preorder]:
         if k == n:
-            yield Preorder(Relation(n, tuple(rows)))
+            yield Preorder._trusted(Relation._trusted(n, tuple(rows)))
             return
         above = [rows[x] for x in range(k) if rows[x] >> k & 1]
         for r in choices[k]:
@@ -390,7 +424,7 @@ def canonical_form(p: Preorder) -> int:
             "order-core", "canonical_form", f"n={n} exceeds factorial-search guard {CANONICAL_CAP}"
         )
     up = p.rows
-    down = [sum(1 << x for x in range(n) if up[x] >> y & 1) for y in range(n)]
+    down = _transpose(up)
     order: list[int] = []
     best: int | None = None
 
@@ -445,29 +479,27 @@ def are_isomorphic(p: Preorder, q: Preorder) -> bool:
 
 
 def monotone_maps(p: Preorder, q: Preorder) -> list[MonotoneMap]:
-    """All order preserving maps p -> q, lexicographic in the value tuples."""
-    out: list[MonotoneMap] = []
-    values = [0] * p.n
+    """All order preserving maps p -> q, lexicographic in the value tuples.
 
-    def assign(x: int):
-        if x == p.n:
-            out.append(MonotoneMap(p, q, tuple(values)))
-            return
-        for v in range(q.n):
-            ok = True
-            for y in range(x):
-                if p.le(x, y) and not q.le(v, values[y]):
-                    ok = False
-                    break
-                if p.le(y, x) and not q.le(values[y], v):
-                    ok = False
-                    break
-            if ok:
-                values[x] = v
-                assign(x + 1)
+    The values allowed at x are the AND of the down-set rows of the values at
+    the assigned points above x and the up-set rows of those below it.
+    """
+    up, down, full = q.rows, _transpose(q.rows), (1 << q.n) - 1
+    links = [
+        ([y for y in range(x) if p.le(x, y)], [y for y in range(x) if p.le(y, x)]) for x in range(p.n)
+    ]
 
-    assign(0)
-    return out
+    def allowed(values: list[int]) -> int:
+        above, below = links[len(values)]
+        mask = full
+        for y in above:
+            mask &= down[values[y]]
+        for y in below:
+            mask &= up[values[y]]
+        return mask
+
+    trusted = MonotoneMap._trusted
+    return [trusted(p, q, values) for values in _assignments(p.n, allowed)]
 
 
 def check_galois_connection(f: MonotoneMap, g: MonotoneMap) -> bool:

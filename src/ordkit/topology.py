@@ -32,18 +32,6 @@ class FiniteTopology(Record):
         if tuple(sorted(set(opens))) != opens:
             raise OrdkitError("finite-topology", "topology", "opens must be sorted and distinct")
 
-    @classmethod
-    def _trusted(cls, n: int, opens: tuple[int, ...]) -> "FiniteTopology":
-        """Wrap opens already known to be sorted and distinct on ``n >= 1`` points.
-
-        ``from_preorder`` takes them from ``up_sets``, which returns them that
-        way, so sorting them again would only repeat the check.
-        """
-        t = object.__new__(cls)
-        _setattr(t, "n", n)
-        _setattr(t, "opens", opens)
-        return t
-
 
 def validate(family: Iterable[int], n: int) -> FiniteTopology:
     """Check the three topology axioms, reporting the first violated one."""
@@ -76,7 +64,10 @@ def validate(family: Iterable[int], n: int) -> FiniteTopology:
 
 
 def from_preorder(p: Preorder) -> FiniteTopology:
-    """The topology whose opens are the up-sets of ``p``."""
+    """The topology whose opens are the up-sets of ``p``.
+
+    ``up_sets`` returns them sorted and distinct, so they are not checked again.
+    """
     return FiniteTopology._trusted(p.n, tuple(up_sets(p)))
 
 

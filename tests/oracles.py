@@ -11,7 +11,7 @@ import itertools
 from typing import Iterator, Sequence
 
 from ordkit.digraphs import Digraph, Path, all_paths, paths_up_to_length
-from ordkit.edgerings import CMWitness, SquarefreeIdeal, _perfect_matchings
+from ordkit.edgerings import CMWitness, SquarefreeIdeal
 from ordkit.errors import OrdkitError
 from ordkit.monomials import STABILIZER_CAP, MonomialIdeal, contains, divides, permute_monomial
 from ordkit.patterns import RationalMatrix, _check_generators
@@ -159,12 +159,23 @@ def hom_paths(q: Digraph, a: int, b: int, limit: int | None = None) -> list[Path
     return [p for p in pool if p.start == a and p.end == b]
 
 
+def perfect_matchings(relation: Sequence[int], prefix: tuple[int, ...] = ()) -> Iterator[tuple]:
+    """The permutations of side B that use only edges, placed A-vertex by A-vertex, ascending."""
+    i = len(prefix)
+    if i == len(relation):
+        yield prefix
+        return
+    for b in range(len(relation)):
+        if relation[i] >> b & 1 and b not in prefix:
+            yield from perfect_matchings(relation, prefix + (b,))
+
+
 def is_cm_bipartite(g) -> CMWitness | None:
     """Validate a full ``Preorder`` for every perfect matching until one is a partial order."""
     n = len(g.a_names)
     if n != len(g.b_names):
         return None
-    for matching in _perfect_matchings(g):
+    for matching in perfect_matchings(g.relation):
         rows = tuple(sum(1 << j for j in range(n) if g.has(i, matching[j])) for i in range(n))
         try:
             order = Preorder(Relation(n, rows))
@@ -172,4 +183,14 @@ def is_cm_bipartite(g) -> CMWitness | None:
             continue
         if classify(order).partial_order:
             return CMWitness(matching, order)
+    return None
+
+
+def missing_smaller_map(order: Preorder, listed, depth: int) -> tuple[int, ...] | None:
+    """The first unlisted monotone map into {0..depth} below a listed one, scanning every map."""
+    listed = {tuple(f) for f in listed}
+    for g in itertools.product(range(depth + 1), repeat=order.n):
+        monotone = all(g[x] <= g[y] for x, y in order.pairs())
+        if monotone and g not in listed and any(all(a <= b for a, b in zip(g, f)) for f in listed):
+            return g
     return None

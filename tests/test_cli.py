@@ -194,6 +194,10 @@ class TestIdealCommands:
         code, out, err = run(capsys, "ideal", "from-upset", "--chains", "0,1", "--vars", names)
         assert (code, out, err) == (2, "", f"parse error: bad variable name {bad!r}\n")
 
+    def test_from_upset_rejects_duplicate_variable_names(self, capsys):
+        code, out, err = run(capsys, "ideal", "from-upset", "--chains", "0,1", "--vars", "x,x")
+        assert (code, out, err) == (2, "", "parse error: duplicate variable names\n")
+
     def test_from_upset_skips_empty_variable_entries(self, capsys):
         _, out, _ = run(capsys, "ideal", "from-upset", "--chains", "0,1", "--vars", " x,, y ")
         assert parse_document(out)["vars"] == ["x", "y"]
@@ -323,6 +327,15 @@ class TestGraphCommands:
         assert (code, out) == (2, "")
         assert err == f"parse error: give exactly one input source, not both --parts and {flag}\n"
 
+    @pytest.mark.parametrize("command", ["cm-bipartite", "linres"])
+    @pytest.mark.parametrize(
+        "flag, value", [("--input", "A: a | B: b"), ("--file", "/nonexistent")]
+    )
+    def test_edges_with_another_source_is_rejected(self, capsys, command, flag, value):
+        code, out, err = run(capsys, "graph", command, "--edges", "a-b", flag, value)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: give exactly one input source, not both --edges and {flag}\n"
+
     def test_dim_gens_and_poset(self, capsys):
         _, out, _ = run(capsys, "graph", "dim", "--gens", "v^2, v*w, w^2")
         assert parse_document(out)["value"] == 3
@@ -400,6 +413,20 @@ class TestGraphCommands:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert parse_document(proc.stdout)["value"] == 10000000000
+
+    def test_co_letterplace_of_one_map_on_sixteen_points_finishes(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "from ordkit.cli import entrypoint; entrypoint()",
+             "graph", "co-letterplace", "--poset", "n=16", "--maps", ",".join("0" * 16),
+             "--depth", "15"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env={**os.environ, "PYTHONPATH": str(Path(ordkit.__file__).parents[1])},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        doc = parse_document(proc.stdout)
+        assert len(doc["vars"]) == 256 and doc["generators"] == ["*".join(f"p{i}.0" for i in range(16))]
 
     def test_dim_and_dual_of_the_zero_variable_unit_ideal(self, capsys):
         code, out, err = run(capsys, "graph", "dim", "--gens", "1")
@@ -482,6 +509,24 @@ class TestContract:
             capsys, "preorder", "classify", "--input", "n=1", "--file", str(f)
         )
         assert code == 2 and "exactly one" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("graph", "edge-ideal", "--edges", "a-b", "--file", "/nonexistent"),
+             "give exactly one input source, not both --edges and --file"),
+            (("graph", "edge-ideal"), "missing input: use --edges or --file"),
+            (("pattern", "invariant", "--matrices", "1", "--matrices-file", "/nonexistent"),
+             "give exactly one input source, not both --matrices and --matrices-file"),
+            (("pattern", "pre"), "missing input: use --matrices or --matrices-file"),
+            (("preorder", "classify", "--input", "n=1", "--file", "/nonexistent"),
+             "give exactly one input source, not both --input and --file"),
+            (("topology", "t0"), "missing input: use --input or --file"),
+        ],
+    )
+    def test_source_messages_name_the_command_flags(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"parse error: {message}\n")
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "preorder", "canon", "--file", str(tmp_path / "absent.txt"))

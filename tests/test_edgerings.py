@@ -1,4 +1,6 @@
+import ast
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,7 @@ from ordkit.relations import (
     monotone_maps,
 )
 from ordkit.textio import parse_bipartite, parse_graph, render_ideal
+from tests import oracles
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -345,6 +348,58 @@ class TestCoLetterplace:
         two = Preorder.chain(2)
         with pytest.raises(OrdkitError, match="monotone"):
             co_letterplace(two, [(1, 0), (0, 0)], 1, ["v", "w"])
+
+    @pytest.mark.parametrize(
+        "order, maps, missing",
+        [
+            # The first listed map in ascending order, then its first missing cover by point.
+            (Preorder.discrete(2), [(1, 1)], (0, 1)),
+            (Preorder.discrete(2), [(1, 1), (0, 0), (0, 1)], (1, 0)),
+            (Preorder.discrete(2), [(1, 1), (1, 0)], (0, 0)),
+            # Lowering w in v <= w to below v is not monotone, so only (0, 1) is a cover of (1, 1).
+            (Preorder.chain(2), [(1, 1)], (0, 1)),
+            (Preorder.chain(2), [(1, 1), (0, 1)], (0, 0)),
+            (Preorder.chain(3), [(0, 1, 1), (1, 1, 1)], (0, 0, 1)),
+        ],
+    )
+    def test_down_set_witness_is_the_first_missing_cover(self, order, maps, missing):
+        with pytest.raises(OrdkitError) as info:
+            co_letterplace(order, maps, 1)
+        assert str(info.value) == (
+            f"edge-rings.co_letterplace: down-set violation: missing pointwise-smaller map {missing}"
+        )
+
+    def test_cover_check_matches_the_all_maps_scan_on_random_map_sets(self):
+        rng = random.Random(2005)
+        pool = [p for n in range(1, 5) for p in posets(n)]
+        outcomes = {True: 0, False: 0}
+        for _ in range(3000):
+            order = rng.choice(pool)
+            d = rng.randint(0, 3 if order.n <= 3 else 2)
+            homs = [f.values for f in monotone_maps(order, Preorder.chain(d + 1))]
+            picked = rng.sample(homs, rng.randint(0, min(len(homs), 5)))
+            if rng.random() < 0.5:
+                # Down-close the picked maps, then sometimes drop one map again.
+                picked = [g for g in homs if any(all(a <= b for a, b in zip(g, f)) for f in picked)]
+                if picked and rng.random() < 0.5:
+                    picked.remove(rng.choice(picked))
+            rng.shuffle(picked)
+            expected = oracles.missing_smaller_map(order, picked, d)
+            try:
+                co_letterplace(order, picked, d)
+            except OrdkitError as exc:
+                assert expected is not None, (order, picked, d)
+                named = ast.literal_eval(str(exc).rpartition(" map ")[2])
+                assert named in homs and named not in picked
+                assert any(
+                    sum(b - a for a, b in zip(named, f)) == 1 and all(a <= b for a, b in zip(named, f))
+                    for f in picked
+                )
+                outcomes[False] += 1
+            else:
+                assert expected is None, (order, picked, d)
+                outcomes[True] += 1
+        assert min(outcomes.values()) > 750, outcomes
 
 
 class TestAlexanderDual:

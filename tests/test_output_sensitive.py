@@ -1,7 +1,7 @@
 """Output-sensitive answers against their brute-force oracles.
 
 ``stabilizer`` (pair-multiset backtracking), ``hom_paths`` (growth pruned by
-distance to the target) and ``is_cm_bipartite`` (bitmask tests per matching)
+distance to the target) and ``is_cm_bipartite`` (partial matchings cut)
 are compared with the n! scan, the all-paths filter and the validate-every-
 matching loop in ``tests/oracles.py``; ``write_document`` is compared with
 ``document_text`` and with the plain ``json.dumps`` text, also when arrays

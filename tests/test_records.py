@@ -26,6 +26,7 @@ from ordkit.relations import (
     Relation,
     closure,
     enumerate_preorders,
+    monotone_maps,
 )
 from ordkit.topology import FiniteTopology, from_preorder, validate
 
@@ -177,6 +178,14 @@ def test_records_do_not_equal_their_field_tuples():
     assert Edge(0, 1, "e") != Path(0, ())
 
 
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_trusted_takes_the_fields_in_order(name):
+    record = FACTORIES[name]()
+    trusted = type(record)._trusted(*(getattr(record, field) for field in record._fields))
+    assert type(trusted) is type(record)
+    assert trusted == record and hash(trusted) == hash(record) and repr(trusted) == repr(record)
+
+
 def test_trusted_monomial_ideal_equals_the_validated_one():
     gens = [(2, 0, 1), (0, 1, 1), (1, 1, 0), (2, 1, 1), (0, 3, 0)]
     trusted = minimalize(3, gens)
@@ -192,6 +201,24 @@ def test_trusted_paths_equal_the_validated_ones():
     for path in grown:
         checked = Path(path.start, path.edges)
         assert path == checked and hash(path) == hash(checked)
+
+
+def test_trusted_monotone_maps_equal_the_validated_ones():
+    preorders = [p for n in range(1, 4) for p in enumerate_preorders(n)]
+    for p in preorders:
+        for q in preorders:
+            for f in monotone_maps(p, q):
+                checked = MonotoneMap(p, q, f.values)
+                assert f == checked and hash(f) == hash(checked) and repr(f) == repr(checked)
+
+
+def test_trusted_enumerated_preorders_equal_the_validated_ones():
+    found = list(enumerate_preorders(4))
+    assert len(found) == 355
+    for p in found:
+        checked = Preorder(Relation(p.n, p.rows))
+        assert p == checked and hash(p) == hash(checked) and repr(p) == repr(checked)
+        assert p.rel == checked.rel and hash(p.rel) == hash(checked.rel)
 
 
 def test_trusted_topologies_equal_the_validated_ones():

@@ -341,14 +341,16 @@ class TestMonotoneMaps:
             assert len(monotone_maps(one, p)) == p.n
 
     def test_exhaustive_against_filtered_product(self):
-        p = Preorder.from_pairs(3, [(0, 1), (1, 0)])
-        q = Preorder.chain(2)
-        brute = [
-            values
-            for values in itertools.product(range(q.n), repeat=p.n)
-            if all(q.le(values[x], values[y]) for x, y in p.pairs())
-        ]
-        assert [f.values for f in monotone_maps(p, q)] == brute
+        pool = [p for n in range(1, 4) for p in enumerate_preorders(n)]
+        assert Preorder.from_pairs(3, [(0, 1), (1, 0)]) in pool and Preorder.chain(2) in pool
+        for p in pool:
+            for q in pool:
+                brute = [
+                    values
+                    for values in itertools.product(range(q.n), repeat=p.n)
+                    if all(q.le(values[x], values[y]) for x, y in p.pairs())
+                ]
+                assert [f.values for f in monotone_maps(p, q)] == brute
 
     def test_non_monotone_values_rejected(self):
         with pytest.raises(OrdkitError, match="monotone"):
