@@ -216,30 +216,30 @@ def _cmd_topology_t0(args) -> int:
 
 
 def _path_doc(path, names: Sequence[str]) -> dict:
-    word = "".join(path.labels) if path.labels else f"1_{names[path.start]}"
+    labels = [e.label for e in path.edges]
     return {
         "start": names[path.start],
         "end": names[path.end],
-        "labels": list(path.labels),
-        "word": word,
+        "labels": labels,
+        "word": "".join(labels) if labels else f"1_{names[path.start]}",
     }
+
+
+def _paths_doc(kind: str, count: int, found, names: Sequence[str]) -> dict:
+    """A path listing whose count is known before its rows stream."""
+    return {"kind": kind, "count": count, "paths": (_path_doc(p, names) for p in found)}
 
 
 def _cmd_digraph_paths(args) -> int:
     q, names = textio.parse_digraph(_read_source(args))
     if args.complete:
-        found = digraphs.all_paths(q)
+        limit = None
+    elif args.max_length is None:
+        raise ParseError("give --max-length or --complete")
     else:
-        if args.max_length is None:
-            raise ParseError("give --max-length or --complete")
-        found = digraphs.paths_up_to_length(q, args.max_length)
-    return _emit(
-        {
-            "kind": "paths",
-            "count": len(found),
-            "paths": (_path_doc(p, names) for p in found),
-        }
-    )
+        limit = args.max_length
+    count = digraphs.count_paths(q, limit)
+    return _emit(_paths_doc("paths", count, digraphs.iter_paths(q, limit), names))
 
 
 def _cmd_digraph_homs(args) -> int:
@@ -247,14 +247,9 @@ def _cmd_digraph_homs(args) -> int:
     index = {name: i for i, name in enumerate(names)}
     source = textio._lookup(index, args.source, "vertex")
     target = textio._lookup(index, args.target, "vertex")
-    found = digraphs.hom_paths(q, source, target, args.max_length)
-    return _emit(
-        {
-            "kind": "hom-paths",
-            "count": len(found),
-            "paths": (_path_doc(p, names) for p in found),
-        }
-    )
+    count = digraphs.count_hom_paths(q, source, target, args.max_length)
+    found = digraphs.iter_hom_paths(q, source, target, args.max_length)
+    return _emit(_paths_doc("hom-paths", count, found, names))
 
 
 def _cmd_digraph_preorder(args) -> int:
@@ -303,11 +298,11 @@ def _cmd_ideal_most_degenerate(args) -> int:
 
 def _cmd_ideal_stabilizer(args) -> int:
     ideal = _named_ideal_from(args.gens)
-    perms = monomials.stabilizer(ideal.ideal)
-    rendered = (
-        {ideal.ground[i]: ideal.ground[perm[i]] for i in range(len(perm))} for perm in perms
-    )
-    return _emit({"kind": "stabilizer", "count": len(perms), "permutations": rendered})
+    count = monomials.stabilizer_order(ideal.ideal)
+    ground = ideal.ground
+    perms = monomials.iter_stabilizer(ideal.ideal)
+    rendered = ({ground[i]: ground[j] for i, j in enumerate(perm)} for perm in perms)
+    return _emit({"kind": "stabilizer", "count": count, "permutations": rendered})
 
 
 def _cmd_ideal_to_upset(args) -> int:
@@ -327,6 +322,8 @@ def _cmd_ideal_from_upset(args) -> int:
     if args.vars:
         names = tuple(textio.parse_names(args.vars, "variable"))
         nvars = len(names)
+        if not names:
+            raise ParseError("--vars names no variables")
         if len(set(names)) != nvars:
             raise ParseError("duplicate variable names")
     else:
@@ -418,6 +415,8 @@ def _bipartite_from(args) -> edgerings.BipartiteGraph:
             raise ParseError("--parts wants 'a,c|b,d'")
         text = f"A: {sides[0]} | B: {sides[1]} | edges: {args.edges or ''}"
         return textio.parse_bipartite(text)
+    if args.edges is not None:
+        raise ParseError("--edges needs --parts")
     return textio.parse_bipartite(_read_source(args))
 
 

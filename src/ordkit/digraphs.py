@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from typing import Iterator
 
 from .errors import OrdkitError
 from .relations import Preorder, Record, Relation, _setattr, check_point_count, closure
@@ -46,7 +47,9 @@ class Digraph(Record):
 
     def has_cycle(self) -> bool:
         """Three-colour depth-first search with an explicit stack."""
-        succ = [[e.dst for e in out] for out in _out_edges(self)]
+        succ: list[list[int]] = [[] for _ in range(self.n)]
+        for e in self.edges:
+            succ[e.src].append(e.dst)
         color = [0] * self.n
         for root in range(self.n):
             if color[root]:
@@ -66,14 +69,6 @@ class Digraph(Record):
                     color[v] = 2
                     stack.pop()
         return False
-
-
-def _out_edges(q: Digraph) -> list[list[Edge]]:
-    """Each vertex's outgoing edges, in edge order."""
-    out: list[list[Edge]] = [[] for _ in range(q.n)]
-    for e in q.edges:
-        out[e.src].append(e)
-    return out
 
 
 class Path(Record):
@@ -113,81 +108,147 @@ def compose(a: Path, b: Path) -> Path:
     return Path(a.start, a.edges + b.edges)
 
 
-def _check_bound(limit: int) -> None:
+def _ways(
+    q: Digraph, limit: int, source: int | None = None, target: int | None = None
+) -> Iterator[dict[int, int]]:
+    """Rows ``ways[k]`` for k = 0, 1, ..., limit: v -> the paths of exactly k edges from v.
+
+    With a ``target``, only the paths that end there count.  With a
+    ``source``, only the edges out of the vertices it reaches count, so a
+    cycle that the source cannot reach does not keep the rows going.  A
+    row keeps only its non-zero entries, and the rows stop at the first
+    empty one, since no longer path extends past it.
+    """
+    tails = q.edges
+    if source is not None:
+        succ: list[list[int]] = [[] for _ in range(q.n)]
+        for e in q.edges:
+            succ[e.src].append(e.dst)
+        seen, todo = {source}, [source]
+        while todo:
+            for w in succ[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        tails = [e for e in q.edges if e.src in seen]
+    into: list[list[int]] = [[] for _ in range(q.n)]
+    for e in tails:
+        into[e.dst].append(e.src)
+    row = dict.fromkeys(range(q.n) if target is None else (target,), 1)
+    for _ in range(limit + 1):
+        if not row:
+            return
+        yield row
+        nxt: dict[int, int] = {}
+        for w, ways in row.items():
+            for v in into[w]:
+                nxt[v] = nxt.get(v, 0) + ways
+        row = nxt
+
+
+def _limit(q: Digraph, limit: int | None) -> int:
+    """The length bound, checked; ``None`` asks for every path, on acyclic inputs only."""
+    if limit is None:
+        if q.has_cycle():
+            raise OrdkitError(
+                "digraph-paths", "paths", "directed cycle found: the free category has infinitely many paths"
+            )
+        limit = max(q.n - 1, 0)
     if limit < 0:
         raise OrdkitError("digraph-paths", "paths", "negative length bound")
+    return limit
 
 
-def _check_acyclic(q: Digraph) -> None:
-    if q.has_cycle():
-        raise OrdkitError(
-            "digraph-paths", "paths", "directed cycle found: the free category has infinitely many paths"
-        )
+def _walk(q: Digraph, limit: int, source: int | None = None, target: int | None = None) -> Iterator[Path]:
+    """The paths within ``limit`` edges, from ``source`` and to ``target`` where given.
 
-
-def _grow(q: Digraph, layer: list[Path], limit: int, dist: list) -> list[Path]:
-    """``layer`` and its extensions by up to ``limit`` edges, layer after layer.
-
-    A path grows by each edge out of its end, in edge order, whose head can
-    still reach a target with the edges left: ``dist[v]`` is the length of a
-    shortest path from v to a target, and 0 everywhere keeps every path.
-    An edge out of a path's end composes with it, so no path is checked again.
+    Listed length by length, and each length in lexicographic order of its
+    start and its edges, by a depth-first search that holds one iterator
+    per edge of the current path.  An edge is taken only when its head
+    still has a path of exactly the edges left, by the ``_ways`` rows.
     """
-    out_edges = _out_edges(q)
-    extend = Path._trusted
-    found = list(layer)
-    for left in range(limit - 1, -1, -1):
-        layer = [
-            extend(p.start, p.edges + (e,)) for p in layer for e in out_edges[p.end] if dist[e.dst] <= left
-        ]
-        if not layer:
-            break
-        found.extend(layer)
-    return found
+    alive = []
+    for row in _ways(q, limit, source, target):
+        alive.append(bytearray(q.n))
+        for v in row:
+            alive[-1][v] = 1
+    out: list[list[tuple[Edge, int]]] = [[] for _ in range(q.n)]
+    for e in q.edges:
+        out[e.src].append((e, e.dst))
+    trusted = Path._trusted  # every path found is valid by construction
+    for length, reach in enumerate(alive):
+        for start in range(q.n) if source is None else (source,):
+            if not reach[start]:
+                continue
+            if not length:
+                yield trusted(start, ())
+                continue
+            edges: list[Edge] = []
+            stack = [iter(out[start])]  # stack[d] picks edges[d]
+            while stack:
+                depth = len(stack) - 1
+                row = alive[length - depth - 1]
+                del edges[depth:]
+                if depth + 1 == length:
+                    for e, w in stack.pop():
+                        if row[w]:
+                            yield trusted(start, (*edges, e))
+                    continue
+                for e, w in stack[-1]:
+                    if row[w]:
+                        edges.append(e)
+                        stack.append(iter(out[w]))
+                        break
+                else:
+                    stack.pop()
+
+
+def count_paths(q: Digraph, limit: int | None = None) -> int:
+    """The number of paths ``iter_paths`` lists, from the ``_ways`` rows alone."""
+    return sum(sum(row.values()) for row in _ways(q, _limit(q, limit)))
+
+
+def iter_paths(q: Digraph, limit: int | None = None) -> Iterator[Path]:
+    """All paths with at most ``limit`` edges, every path (acyclic only) when None.
+
+    The empty paths come first, one per vertex, then the paths of one edge,
+    and so on; paths of one length are in lexicographic order of their
+    start and their edges.
+    """
+    yield from _walk(q, _limit(q, limit))
 
 
 def paths_up_to_length(q: Digraph, limit: int) -> list[Path]:
     """All paths with at most ``limit`` edges, one empty path per vertex first."""
-    _check_bound(limit)
-    return _grow(q, [Path(v, ()) for v in range(q.n)], limit, [0] * q.n)
+    return list(iter_paths(q, limit))
 
 
 def all_paths(q: Digraph) -> list[Path]:
     """The complete morphism set of the free category; acyclic inputs only."""
-    _check_acyclic(q)
-    return paths_up_to_length(q, max(q.n - 1, 0))
+    return list(iter_paths(q))
+
+
+def count_hom_paths(q: Digraph, a: int, b: int, limit: int | None = None) -> int:
+    """The number of paths ``iter_hom_paths`` lists, from the ``_ways`` rows alone."""
+    limit = _limit(q, limit)
+    if not (0 <= a < q.n and 0 <= b < q.n):
+        return 0
+    return sum(row.get(a, 0) for row in _ways(q, limit, a, b))
+
+
+def iter_hom_paths(q: Digraph, a: int, b: int, limit: int | None = None) -> Iterator[Path]:
+    """Paths from a to b, length-bounded or complete (acyclic only) when limit is None.
+
+    Listed by length, each length in ``iter_paths`` order.
+    """
+    limit = _limit(q, limit)
+    if 0 <= a < q.n and 0 <= b < q.n:
+        yield from _walk(q, limit, a, b)
 
 
 def hom_paths(q: Digraph, a: int, b: int, limit: int | None = None) -> list[Path]:
-    """Paths from a to b, length-bounded or complete (acyclic only) when limit is None.
-
-    Listed by length, each length in ``paths_up_to_length`` order.  Only the
-    paths from ``a`` are grown, and only through edges whose head reaches
-    ``b`` within the edges left, by the distances of a reverse breadth-first
-    search from ``b``.
-    """
-    if limit is None:
-        _check_acyclic(q)
-        limit = max(q.n - 1, 0)
-    _check_bound(limit)
-    if not (0 <= a < q.n and 0 <= b < q.n):
-        return []
-    into: list[list[int]] = [[] for _ in range(q.n)]
-    for e in q.edges:
-        into[e.dst].append(e.src)
-    far = float("inf")
-    dist = [far] * q.n
-    dist[b] = 0
-    frontier = [b]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in into[v]:
-                if dist[u] == far:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    return [p for p in _grow(q, [Path(a, ())], limit, dist) if p.end == b]
+    """``iter_hom_paths`` as a list."""
+    return list(iter_hom_paths(q, a, b, limit))
 
 
 def reachability_preorder(q: Digraph) -> Preorder:

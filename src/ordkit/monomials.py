@@ -205,24 +205,27 @@ def permute_ideal(ideal: MonomialIdeal, perm: Sequence[int]) -> MonomialIdeal:
     return MonomialIdeal(ideal.nvars, tuple(sorted(permute_monomial(g, perm) for g in ideal.gens)))
 
 
-def stabilizer(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
-    """All variable permutations fixing the ideal, ascending lexicographically.
+def _stabilizer_search(ideal: MonomialIdeal):
+    """Check the variable count, then return the pruned search of the stabilizer.
 
-    Backtracking over the images of x0, x1, ...: variable i may go to j only
-    when the exponent pairs (g[i], g[k]) over the generators form the same
-    multiset as (g[j], g[perm[k]]) for every k assigned so far, k = i
-    included.  A full assignment that passes those cuts gets the exact test,
-    that the permuted generators are the generators, unless no generator
-    involves more than two variables: then the pair multisets already
-    determine the generators.
+    ``search(prefix)`` yields, ascending lexicographically, the variable
+    permutations that fix the ideal and send x0, x1, ... to ``prefix``, which
+    leaves at least the last image open.  It assigns the images of x0, x1,
+    ... in turn: variable i may go to j only when the exponent pairs
+    (g[i], g[k]) over the generators form the same multiset as
+    (g[j], g[perm[k]]) for every k assigned so far, k = i included.  The
+    last image is forced, since one variable is left.  A full assignment
+    that passes those cuts gets the exact test, that the permuted generators
+    are the generators, unless no generator involves more than two
+    variables: then the pair multisets already determine the generators.
+    The search holds one iterator per assigned variable, so it yields each
+    permutation as it is found.
     """
     n = ideal.nvars
     if n > STABILIZER_CAP:
         raise OrdkitError(
             "monomial-ideals", "stabilizer", f"{n} variables exceeds guard {STABILIZER_CAP}"
         )
-    if n == 0:
-        return [()]
     columns = list(zip(*ideal.gens)) or [()] * n
     kinds: dict[tuple, int] = {}
     pair = [
@@ -230,31 +233,86 @@ def stabilizer(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
         for i in range(n)
     ]
     candidates = [[j for j in range(n) if pair[j][j] == pair[i][i]] for i in range(n)]
+    # itemgetter of one index returns a scalar, so the prefix of pairs is one too.
+    want = [pair[i][:i] if i != 1 else pair[i][0] for i in range(n)]
     exact = any(n - g.count(0) > 2 for g in ideal.gens)
     gens = set(ideal.gens)
-    found: list[tuple[int, ...]] = []
-    perm: list[int] = []
-    inverse = [0] * n
+    last = n - 1
 
-    def extend(i: int, used: int) -> None:
-        # itemgetter of one index returns a scalar, so the prefix is one too.
-        image_of = itemgetter(*perm) if i else None
-        want = pair[i][:i] if i != 1 else pair[i][0]
-        for j in candidates[i]:
-            if used >> j & 1 or (i and image_of(pair[j]) != want):
-                continue
-            perm.append(j)
-            inverse[j] = i
-            if i + 1 < n:
-                extend(i + 1, used | 1 << j)
-            elif not exact or gens.issuperset(map(itemgetter(*inverse), ideal.gens)):
-                # The permuted generator has exponent g[inverse[v]] at variable v;
-                # a generator in three variables means n >= 3, so these are tuples.
-                found.append(tuple(perm))
-            perm.pop()
+    def pool(i: int, prefix: tuple[int, ...]) -> Iterator[int]:
+        return iter(candidates[i] if i >= len(prefix) else [j for j in candidates[i] if j == prefix[i]])
 
-    extend(0, 0)
-    return found
+    def search(prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+        if n == 0:
+            yield ()
+            return
+        perm: list[int] = []
+        inverse = [0] * n
+        free = (1 << n) - 1
+        image_of: list = [None] * n  # the getter of the images assigned below each level
+        stack = [pool(0, prefix)]
+        while stack:
+            i = len(stack) - 1
+            getter, cut = image_of[i], want[i]
+            for j in stack[-1]:
+                if not free >> j & 1 or (i and getter(pair[j]) != cut):
+                    continue
+                perm.append(j)
+                inverse[j] = i
+                if i + 1 < last:
+                    free ^= 1 << j
+                    image_of[i + 1] = itemgetter(*perm)
+                    stack.append(pool(i + 1, prefix))
+                    break
+                if i < last:
+                    # One pair multiset already fixes r's exponent multiset: no candidate test.
+                    r = (free ^ 1 << j).bit_length() - 1
+                    if itemgetter(*perm)(pair[r]) != want[last]:
+                        perm.pop()
+                        continue
+                    perm.append(r)
+                    inverse[r] = last
+                if not exact or gens.issuperset(map(itemgetter(*inverse), ideal.gens)):
+                    # The permuted generator has exponent g[inverse[v]] at variable v;
+                    # a generator in three variables means n >= 3, so these are tuples.
+                    yield tuple(perm)
+                del perm[i:]
+            else:
+                stack.pop()
+                if perm:
+                    free |= 1 << perm.pop()
+
+    return search
+
+
+def stabilizer_order(ideal: MonomialIdeal) -> int:
+    """The number of variable permutations fixing the ideal, without listing them.
+
+    The order of a permutation group is the product of its basic orbit
+    sizes: the orbit of i under the permutations that fix 0..i-1 pointwise.
+    Such an orbit holds i itself, and each j > i for which the search finds
+    a permutation beginning (0, ..., i-1, j).  Those prefixes root disjoint
+    subtrees of the listing's search, so all the first-leaf searches
+    together visit no more than one listing does.
+    """
+    search = _stabilizer_search(ideal)
+    order = 1
+    for i in range(ideal.nvars):
+        fixed = tuple(range(i))
+        order *= 1 + sum(
+            next(search(fixed + (j,)), None) is not None for j in range(i + 1, ideal.nvars)
+        )
+    return order
+
+
+def iter_stabilizer(ideal: MonomialIdeal) -> Iterator[tuple[int, ...]]:
+    """All variable permutations fixing the ideal, ascending lexicographically."""
+    yield from _stabilizer_search(ideal)()
+
+
+def stabilizer(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
+    """``iter_stabilizer`` as a list."""
+    return list(iter_stabilizer(ideal))
 
 
 def chain_point(m: Monomial) -> tuple[int, ...]:

@@ -82,6 +82,8 @@ class Record:
     def __init_subclass__(cls):
         cls._fields = cls._fields + vars(cls).get("__slots__", ())
         cls._key = attrgetter(*cls._fields)
+        # The slot descriptors' setters, which ``_trusted`` calls without an attribute lookup.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -109,8 +111,8 @@ class Record:
     def _trusted(cls, *values):
         """The record of field values, in field order, that the caller has shown valid."""
         record = object.__new__(cls)
-        for name, value in zip(cls._fields, values):
-            _setattr(record, name, value)
+        for set_field, value in zip(cls._setters, values):
+            set_field(record, value)
         return record
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
-from ordkit.digraphs import Digraph, Path, all_paths, paths_up_to_length
+from ordkit.digraphs import Digraph, Path
 from ordkit.edgerings import CMWitness, SquarefreeIdeal
 from ordkit.errors import OrdkitError
 from ordkit.monomials import STABILIZER_CAP, MonomialIdeal, contains, divides, permute_monomial
@@ -151,6 +151,30 @@ def stabilizer(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
         for perm in itertools.permutations(range(ideal.nvars))
         if {permute_monomial(g, perm) for g in gens} == gens
     ]
+
+
+def paths_up_to_length(q: Digraph, limit: int) -> list[Path]:
+    """The empty paths, then each layer grown from the last by every edge out of its ends."""
+    if limit < 0:
+        raise OrdkitError("digraph-paths", "paths", "negative length bound")
+    out_edges: list[list] = [[] for _ in range(q.n)]
+    for e in q.edges:
+        out_edges[e.src].append(e)
+    layer = [Path(v, ()) for v in range(q.n)]
+    found = list(layer)
+    for _ in range(limit):
+        layer = [Path(p.start, p.edges + (e,)) for p in layer for e in out_edges[p.end]]
+        found.extend(layer)
+    return found
+
+
+def all_paths(q: Digraph) -> list[Path]:
+    """``paths_up_to_length`` at the longest length an acyclic digraph allows."""
+    if q.has_cycle():
+        raise OrdkitError(
+            "digraph-paths", "paths", "directed cycle found: the free category has infinitely many paths"
+        )
+    return paths_up_to_length(q, max(q.n - 1, 0))
 
 
 def hom_paths(q: Digraph, a: int, b: int, limit: int | None = None) -> list[Path]:

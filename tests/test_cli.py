@@ -138,10 +138,41 @@ class TestDigraphCommands:
         assert (code, out, err) == (2, "", "parse error: unknown vertex name 'q'\n")
 
     def test_cycle_complete_is_domain_error(self, capsys):
-        code, _, err = run(
+        code, out, err = run(
             capsys, "digraph", "paths", "--input", "n=2; edges: a->b:u, b->a:v", "--complete"
         )
         assert code == 1 and err.startswith("ERR digraph-paths.paths:")
+        assert out == ""  # the count refuses the input before the document starts
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["homs", "--input", "n=2; edges: a->b:u, b->a:v", "--source", "a", "--target", "b"],
+             "directed cycle found"),
+            (["paths", "--input", EXAMPLE, "--max-length", "-1"], "negative length bound"),
+            (["homs", "--input", EXAMPLE, "--source", "a", "--target", "c", "--max-length", "-1"],
+             "negative length bound"),
+        ],
+    )
+    def test_listing_errors_come_before_any_output(self, capsys, argv, message):
+        code, out, err = run(capsys, "digraph", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"ERR digraph-paths.paths: {message}")
+
+    def test_homs_past_a_cycle_the_source_cannot_reach_finish(self):
+        # c loops and reaches b, but a does not reach c: one path, whatever the bound.
+        proc = subprocess.run(
+            [sys.executable, "-c", "from ordkit.cli import entrypoint; entrypoint()",
+             "digraph", "homs", "--input", "n=3; edges: a->b:u, c->c:w, c->b:v",
+             "--source", "a", "--target", "b", "--max-length", "100000000"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            env={**os.environ, "PYTHONPATH": str(Path(ordkit.__file__).parents[1])},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        doc = parse_document(proc.stdout)
+        assert doc["count"] == 1 and [p["word"] for p in doc["paths"]] == ["u"]
 
     def test_reachability_preorder(self, capsys):
         _, out, _ = run(capsys, "digraph", "preorder", "--input", self.EXAMPLE)
@@ -197,6 +228,15 @@ class TestIdealCommands:
     def test_from_upset_rejects_duplicate_variable_names(self, capsys):
         code, out, err = run(capsys, "ideal", "from-upset", "--chains", "0,1", "--vars", "x,x")
         assert (code, out, err) == (2, "", "parse error: duplicate variable names\n")
+
+    def test_stabilizer_guard_comes_before_any_output(self, capsys):
+        gens = ", ".join(f"x{i}^2" for i in range(9))
+        code, out, err = run(capsys, "ideal", "stabilizer", "--gens", gens)
+        assert (code, out, err) == (1, "", "ERR monomial-ideals.stabilizer: 9 variables exceeds guard 8\n")
+
+    def test_from_upset_rejects_vars_without_names(self, capsys):
+        code, out, err = run(capsys, "ideal", "from-upset", "--vars", " , ", "--chains", "0,1")
+        assert (code, out, err) == (2, "", "parse error: --vars names no variables\n")
 
     def test_from_upset_skips_empty_variable_entries(self, capsys):
         _, out, _ = run(capsys, "ideal", "from-upset", "--chains", "0,1", "--vars", " x,, y ")
@@ -335,6 +375,11 @@ class TestGraphCommands:
         code, out, err = run(capsys, "graph", command, "--edges", "a-b", flag, value)
         assert (code, out) == (2, "")
         assert err == f"parse error: give exactly one input source, not both --edges and {flag}\n"
+
+    @pytest.mark.parametrize("command", ["cm-bipartite", "linres"])
+    def test_edges_without_parts_say_so(self, capsys, command):
+        code, out, err = run(capsys, "graph", command, "--edges", "a-b")
+        assert (code, out, err) == (2, "", "parse error: --edges needs --parts\n")
 
     def test_dim_gens_and_poset(self, capsys):
         _, out, _ = run(capsys, "graph", "dim", "--gens", "v^2, v*w, w^2")

@@ -1,11 +1,13 @@
 """Output-sensitive answers against their brute-force oracles.
 
-``stabilizer`` (pair-multiset backtracking), ``hom_paths`` (growth pruned by
-distance to the target) and ``is_cm_bipartite`` (partial matchings cut)
-are compared with the n! scan, the all-paths filter and the validate-every-
-matching loop in ``tests/oracles.py``; ``write_document`` is compared with
-``document_text`` and with the plain ``json.dumps`` text, also when arrays
-arrive as generators.
+``stabilizer`` (pair-multiset backtracking) and its order (the product of
+basic orbit sizes), the path listings (a depth-first search pruned by the
+table of path counts) and ``is_cm_bipartite`` (partial matchings cut) are
+compared with the n! scan, the layer-by-layer path growth and the
+validate-every-matching loop in ``tests/oracles.py``; ``write_document`` is
+compared with ``document_text`` and with the plain ``json.dumps`` text, also
+when arrays arrive as generators.  The streamed stabilizer and path
+listings are pinned to a small peak of traced memory.
 """
 
 import io
@@ -14,15 +16,27 @@ import json
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordkit.digraphs import Digraph, Edge, hom_paths
+from ordkit import cli
+from ordkit.digraphs import (
+    Digraph,
+    Edge,
+    all_paths,
+    count_hom_paths,
+    count_paths,
+    hom_paths,
+    iter_hom_paths,
+    iter_paths,
+    paths_up_to_length,
+)
 from ordkit.edgerings import BipartiteGraph, is_cm_bipartite
 from ordkit.errors import OrdkitError
-from ordkit.monomials import divides, minimalize, stabilizer
+from ordkit.monomials import divides, iter_stabilizer, minimalize, stabilizer, stabilizer_order
 from ordkit.textio import document_text, write_document
 from tests import oracles
 
@@ -61,7 +75,9 @@ class TestStabilizer:
             ideals = list(every_antichain(nvars, 2))
             counts.append(len(ideals))
             for ideal in ideals:
-                assert stabilizer(ideal) == oracles.stabilizer(ideal), ideal.gens
+                expected = oracles.stabilizer(ideal)
+                assert stabilizer(ideal) == expected, ideal.gens
+                assert stabilizer_order(ideal) == len(expected), ideal.gens
         assert counts == [2, 4, 20, 980]  # plane partitions in an n-cube of side 3
 
     def test_seeded_random_ideals_on_four_to_eight_variables(self):
@@ -76,6 +92,7 @@ class TestStabilizer:
             ideal = minimalize(nvars, gens)
             found = stabilizer(ideal)
             assert found == oracles.stabilizer(ideal), ideal.gens
+            assert stabilizer_order(ideal) == len(found), ideal.gens
             nontrivial += len(found) > 1
         assert nontrivial > 150
 
@@ -117,15 +134,27 @@ class TestStabilizer:
         with pytest.raises(OrdkitError, match=r"^monomial-ideals.stabilizer: 9 variables exceeds guard 8$"):
             stabilizer(minimalize(9, []))
 
+    def test_order_of_the_edge_cases(self):
+        squares = minimalize(8, [tuple(2 if v == i else 0 for v in range(8)) for i in range(8)])
+        cases = [minimalize(0, []), minimalize(0, [()]), minimalize(1, [(3,)]), minimalize(1, []), squares]
+        for ideal in cases:
+            assert stabilizer_order(ideal) == len(oracles.stabilizer(ideal)) == len(list(iter_stabilizer(ideal)))
+        assert stabilizer_order(squares) == math.factorial(8)
+        with pytest.raises(OrdkitError, match=r"^monomial-ideals.stabilizer: 9 variables exceeds guard 8$"):
+            stabilizer_order(minimalize(9, []))
 
-def random_digraph(rng, n, cyclic):
-    """Random parallel edges along a shuffled vertex order, plus a back edge when cyclic."""
+
+def random_digraph(rng, n, cyclic, loops=False):
+    """Random parallel edges along a shuffled vertex order, plus a back edge when cyclic,
+    plus one or two self-loops when ``loops``."""
     order = list(range(n))
     rng.shuffle(order)
     pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n) for _ in range(rng.choice((0, 0, 1, 2)))]
     if cyclic:
         i, j = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
         pairs.append((order[j], order[i]))
+    if loops:
+        pairs += [(v, v) for v in rng.sample(range(n), min(n, rng.randint(1, 2)))]
     rng.shuffle(pairs)
     return Digraph(n, tuple(Edge(a, b, f"e{k}") for k, (a, b) in enumerate(pairs)))
 
@@ -175,6 +204,127 @@ class TestHomPaths:
         assert [len(p) for p in found] == [n - 1]
         assert hom_paths(chain, 5, 4) == []
         assert time.perf_counter() - start < 10
+
+
+def listing_outcome(count, listing):
+    """``("ok", paths)`` with the count checked against the listing, or ``("error", text)``."""
+    try:
+        total = count()
+    except OrdkitError as exc:
+        with pytest.raises(OrdkitError) as caught:
+            listing()
+        assert str(caught.value) == str(exc)
+        return "error", str(exc)
+    found = listing()
+    assert total == len(found)
+    return "ok", found
+
+
+def oracle_outcome(oracle):
+    try:
+        return "ok", oracle()
+    except OrdkitError as exc:
+        return "error", str(exc)
+
+
+class TestPathListings:
+    """The streamed listings and their counts against the layer-by-layer growth of every path."""
+
+    def check_every_listing(self, q, limits):
+        for limit in limits:
+            expected = oracle_outcome(
+                lambda: oracles.all_paths(q) if limit is None else oracles.paths_up_to_length(q, limit)
+            )
+            assert listing_outcome(lambda: count_paths(q, limit), lambda: list(iter_paths(q, limit))) == expected
+            listed = lambda: all_paths(q) if limit is None else paths_up_to_length(q, limit)
+            assert oracle_outcome(listed) == expected
+            for a, b in itertools.product(range(q.n), repeat=2):
+                expected = oracle_outcome(lambda: oracles.hom_paths(q, a, b, limit))
+                outcome = listing_outcome(
+                    lambda: count_hom_paths(q, a, b, limit), lambda: list(iter_hom_paths(q, a, b, limit))
+                )
+                assert outcome == expected == oracle_outcome(lambda: hom_paths(q, a, b, limit))
+
+    def test_seeded_random_multigraphs(self):
+        rng = random.Random(61)
+        shapes = {"dag": 0, "cycle": 0, "loops": 0}
+        for case in range(150):
+            shape = ("dag", "cycle", "loops")[case % 3]
+            q = random_digraph(rng, rng.randint(1, 6), cyclic=shape == "cycle", loops=shape == "loops")
+            self.check_every_listing(q, (None, 0, 1, 2, 3, 4, 5, 6))
+            shapes[shape] += q.has_cycle()
+        assert shapes == {"dag": 0, "cycle": 36, "loops": 50}
+
+    def test_seeded_chains_of_single_edges(self):
+        # Mostly one edge out of each vertex: chains that merge, and cycles of
+        # single edges when the heads may point back.
+        rng = random.Random(67)
+        cyclic = 0
+        for case in range(80):
+            n = rng.randint(1, 9)
+            pairs = []
+            for v in range(n):
+                heads = range(n) if case % 2 else range(v + 1, n)
+                pairs += [(v, rng.choice(heads)) for _ in range(rng.choice((1, 1, 1, 1, 0, 2))) if heads]
+            q = Digraph(n, tuple(Edge(a, b, f"e{k}") for k, (a, b) in enumerate(pairs)))
+            self.check_every_listing(q, (None, 0, 1, 3, 6, 9))
+            cyclic += q.has_cycle()
+        assert 20 < cyclic < 40
+
+    def test_errors_come_from_the_count(self):
+        q = Digraph(2, (Edge(0, 1, "u"), Edge(1, 0, "v")))
+        for count, message in [
+            (lambda: count_paths(q), "directed cycle found"),
+            (lambda: count_hom_paths(q, 0, 1), "directed cycle found"),
+            (lambda: count_paths(q, -1), "negative length bound"),
+            (lambda: count_hom_paths(q, 0, 1, -1), "negative length bound"),
+        ]:
+            with pytest.raises(OrdkitError, match=f"^digraph-paths.paths: {message}"):
+                count()
+        assert count_hom_paths(q, 0, 5, 3) == 0 and list(iter_hom_paths(q, 0, 5, 3)) == []
+        empty = Digraph(0, ())
+        assert count_paths(empty) == count_paths(empty, 3) == 0 and all_paths(empty) == oracles.all_paths(empty) == []
+
+
+class NullSink:
+    def write(self, text):
+        pass
+
+    def flush(self):
+        pass
+
+
+def traced_peak(fn):
+    """The peak of memory traced while ``fn()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedListings:
+    """The big listings stream from their kernels, so nothing grows with the number of rows."""
+
+    def test_s8_stabilizer_document_peaks_under_one_mebibyte(self, monkeypatch):
+        gens = ", ".join(f"x{i}^2" for i in range(1, 9))
+        argv = ["ideal", "stabilizer", "--gens", gens]
+        monkeypatch.setattr("sys.stdout", NullSink())
+        assert cli.main(argv) == 0  # loads the modules and warms the caches first
+        assert traced_peak(lambda: cli.main(argv)) < 1 << 20
+
+    def test_chain_of_three_hundred_vertices_peaks_under_one_mebibyte(self):
+        n = 300
+        chain = Digraph(n, tuple(Edge(i, i + 1, f"e{i}") for i in range(n - 1)))
+        tally = []
+
+        def stream():
+            tally.append(count_paths(chain))
+            tally.append(sum(len(p) for p in iter_paths(chain)))
+
+        assert traced_peak(stream) < 1 << 20
+        assert tally == [n * (n + 1) // 2, (n - 1) * n * (n + 1) // 6]
 
 
 def random_bipartite(rng, n, planted):
