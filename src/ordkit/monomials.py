@@ -20,7 +20,15 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import OrdkitError
-from .relations import Preorder, Record, Relation, _setattr, check_point_count, classify
+from .relations import (
+    Preorder,
+    Record,
+    Relation,
+    _assignments,
+    _setattr,
+    check_point_count,
+    classify,
+)
 
 Monomial = tuple[int, ...]
 
@@ -208,18 +216,16 @@ def permute_ideal(ideal: MonomialIdeal, perm: Sequence[int]) -> MonomialIdeal:
 def _stabilizer_search(ideal: MonomialIdeal):
     """Check the variable count, then return the pruned search of the stabilizer.
 
-    ``search(prefix)`` yields, ascending lexicographically, the variable
-    permutations that fix the ideal and send x0, x1, ... to ``prefix``, which
-    leaves at least the last image open.  It assigns the images of x0, x1,
-    ... in turn: variable i may go to j only when the exponent pairs
-    (g[i], g[k]) over the generators form the same multiset as
-    (g[j], g[perm[k]]) for every k assigned so far, k = i included.  The
-    last image is forced, since one variable is left.  A full assignment
-    that passes those cuts gets the exact test, that the permuted generators
-    are the generators, unless no generator involves more than two
-    variables: then the pair multisets already determine the generators.
-    The search holds one iterator per assigned variable, so it yields each
-    permutation as it is found.
+    ``search(fixed)`` yields, ascending lexicographically, the variable
+    permutations that fix the ideal and send x0, x1, ... to ``fixed``.  It is
+    ``_assignments`` over the images of x0, x1, ...: variable i may go to j
+    only when the exponent pairs (g[i], g[k]) over the generators form the
+    same multiset as (g[j], g[perm[k]]) for every k assigned so far, k = i
+    included.  Interned as pair kinds, those cuts are ANDs of two tables of
+    bit masks over j.  A full assignment that passes them gets the exact
+    test, that the permuted generators are the generators, unless no
+    generator involves more than two variables: then the pair multisets
+    already determine the generators.
     """
     n = ideal.nvars
     if n > STABILIZER_CAP:
@@ -232,55 +238,38 @@ def _stabilizer_search(ideal: MonomialIdeal):
         tuple(kinds.setdefault(tuple(sorted(zip(columns[i], columns[k]))), len(kinds)) for k in range(n))
         for i in range(n)
     ]
-    candidates = [[j for j in range(n) if pair[j][j] == pair[i][i]] for i in range(n)]
-    # itemgetter of one index returns a scalar, so the prefix of pairs is one too.
-    want = [pair[i][:i] if i != 1 else pair[i][0] for i in range(n)]
+    # diagonal[t]: the j with pair kind t against themselves; like[v][t]: the j != v of kind t against v.
+    diagonal = [0] * len(kinds)
+    like = [[0] * len(kinds) for _ in range(n)]
+    for j in range(n):
+        diagonal[pair[j][j]] |= 1 << j
+        for v in range(n):
+            if v != j:
+                like[v][pair[j][v]] |= 1 << j
     exact = any(n - g.count(0) > 2 for g in ideal.gens)
     gens = set(ideal.gens)
-    last = n - 1
 
-    def pool(i: int, prefix: tuple[int, ...]) -> Iterator[int]:
-        return iter(candidates[i] if i >= len(prefix) else [j for j in candidates[i] if j == prefix[i]])
-
-    def search(prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    def search(fixed: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
         if n == 0:
             yield ()
             return
-        perm: list[int] = []
-        inverse = [0] * n
-        free = (1 << n) - 1
-        image_of: list = [None] * n  # the getter of the images assigned below each level
-        stack = [pool(0, prefix)]
-        while stack:
-            i = len(stack) - 1
-            getter, cut = image_of[i], want[i]
-            for j in stack[-1]:
-                if not free >> j & 1 or (i and getter(pair[j]) != cut):
-                    continue
-                perm.append(j)
-                inverse[j] = i
-                if i + 1 < last:
-                    free ^= 1 << j
-                    image_of[i + 1] = itemgetter(*perm)
-                    stack.append(pool(i + 1, prefix))
-                    break
-                if i < last:
-                    # One pair multiset already fixes r's exponent multiset: no candidate test.
-                    r = (free ^ 1 << j).bit_length() - 1
-                    if itemgetter(*perm)(pair[r]) != want[last]:
-                        perm.pop()
-                        continue
-                    perm.append(r)
-                    inverse[r] = last
-                if not exact or gens.issuperset(map(itemgetter(*inverse), ideal.gens)):
-                    # The permuted generator has exponent g[inverse[v]] at variable v;
-                    # a generator in three variables means n >= 3, so these are tuples.
-                    yield tuple(perm)
-                del perm[i:]
-            else:
-                stack.pop()
-                if perm:
-                    free |= 1 << perm.pop()
+
+        def allowed(prefix: list[int]) -> int:
+            i = len(prefix)
+            row = pair[i]
+            mask = diagonal[row[i]]
+            if i < len(fixed):
+                mask &= 1 << fixed[i]
+            for v, t in zip(prefix, row):
+                mask &= like[v][t]
+            return mask
+
+        for perm in _assignments(n, allowed):
+            # itemgetter(*perm) applies the inverse permutation, which fixes the
+            # generators exactly when perm does; a generator in three variables
+            # means n >= 3, so it returns tuples.
+            if not exact or gens.issuperset(map(itemgetter(*perm), ideal.gens)):
+                yield perm
 
     return search
 

@@ -10,7 +10,17 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .errors import OrdkitError
-from .relations import Preorder, Record, Relation, _bits, _env_cap, _setattr, up_sets
+from .relations import (
+    Preorder,
+    Record,
+    Relation,
+    _bits,
+    _env_cap,
+    _setattr,
+    classify,
+    enumerate_preorders,
+    up_sets,
+)
 
 TOPOLOGY_ENUMERATION_CAP = 4
 
@@ -88,51 +98,37 @@ def to_preorder(t: FiniteTopology) -> Preorder:
 
 def is_t0(t: FiniteTopology) -> bool:
     """True when distinct points have distinct open neighbourhood filters."""
-    from .relations import classify
-
     return classify(to_preorder(t)).partial_order
 
 
-def _close(family: frozenset[int]) -> frozenset[int]:
-    out = set(family)
-    frontier = list(out)
-    while frontier:
-        fresh = []
-        members = list(out)
-        for u in frontier:
-            for v in members:
-                for w in (u | v, u & v):
-                    if w not in out:
-                        out.add(w)
-                        fresh.append(w)
-        frontier = fresh
-    return frozenset(out)
+def _generators(t: FiniteTopology) -> tuple[int, ...]:
+    """The opens of ``t``, ascending, that the smaller opens do not generate.
+
+    The union/intersection closure of a family (with the empty and the full
+    set) is the up-set topology of "every member that holds x holds y", so
+    ``rows[x]``, the meet of the members so far that hold x, tells whether
+    an open u is new: it is when some x in u has ``rows[x]`` outside u.
+    """
+    rows = [(1 << t.n) - 1] * t.n
+    out = []
+    for u in t.opens:
+        members = list(_bits(u))
+        if any(rows[x] & ~u for x in members):
+            out.append(u)
+            for x in members:
+                rows[x] &= u
+    return tuple(out)
 
 
 def enumerate_topologies(n: int) -> Iterator[FiniteTopology]:
-    """Every topology on n labeled points, grown directly as closed families.
+    """Every topology on n labeled points: the up-set topologies of the preorders.
 
-    Families are built by adding masks in ascending order and closing under
-    union and intersection; a branch is kept only when the added mask is the
-    smallest new member, which makes each family appear exactly once.  This
-    stays independent of the preorder enumeration so the two can be played
-    against each other.
+    They come ordered by their generator lists, so a family comes before
+    the families that its generators extend.
     """
     cap = _env_cap(TOPOLOGY_ENUMERATION_CAP)
     if not 1 <= n <= cap:
         raise OrdkitError(
             "finite-topology", "enumerate_topologies", f"n={n} outside guard 1..{cap}"
         )
-    full = (1 << n) - 1
-    base = frozenset({0, full})
-
-    def grow(family: frozenset[int], last: int) -> Iterator[FiniteTopology]:
-        yield FiniteTopology(n, tuple(sorted(family)))
-        for mask in range(last + 1, full):
-            if mask in family:
-                continue
-            grown = _close(family | {mask})
-            if min(grown - family) == mask:
-                yield from grow(grown, mask)
-
-    yield from grow(base, 0)
+    yield from sorted(map(from_preorder, enumerate_preorders(n)), key=_generators)

@@ -77,6 +77,46 @@ def preorder_of_subgroup(gens: Sequence[RationalMatrix]) -> Preorder:
     return to_preorder(invariant_subsets(gens))
 
 
+def _close(family: frozenset[int]) -> frozenset[int]:
+    out = set(family)
+    frontier = list(out)
+    while frontier:
+        fresh = []
+        members = list(out)
+        for u in frontier:
+            for v in members:
+                for w in (u | v, u & v):
+                    if w not in out:
+                        out.add(w)
+                        fresh.append(w)
+        frontier = fresh
+    return frozenset(out)
+
+
+def enumerate_topologies(n: int) -> Iterator[FiniteTopology]:
+    """Every topology on n labeled points, grown directly as closed families.
+
+    Families are built by adding masks in ascending order and closing under
+    union and intersection; a branch is kept only when the added mask is the
+    smallest new member, which makes each family appear exactly once.  This
+    stays independent of the preorder enumeration so the two can be played
+    against each other.
+    """
+    full = (1 << n) - 1
+    base = frozenset({0, full})
+
+    def grow(family: frozenset[int], last: int) -> Iterator[FiniteTopology]:
+        yield FiniteTopology(n, tuple(sorted(family)))
+        for mask in range(last + 1, full):
+            if mask in family:
+                continue
+            grown = _close(family | {mask})
+            if min(grown - family) == mask:
+                yield from grow(grown, mask)
+
+    yield from grow(base, 0)
+
+
 def orbit(p: Preorder) -> set[int]:
     """Packed encodings of all n! relabelings.
 

@@ -67,9 +67,10 @@ from ordkit.relations import (
     truncated_chain_map,
     check_galois_connection,
 )
-from ordkit.topology import enumerate_topologies, from_preorder, to_preorder
+from ordkit.topology import from_preorder, to_preorder
 from ordkit.textio import parse_graph, render_ideal
 from tests.conftest import three_point_classes
+from tests.oracles import enumerate_topologies
 from tests.test_monomials import FAMILY, random_ideals, standard_total_order
 
 GOLDEN = Path(__file__).parent / "golden"

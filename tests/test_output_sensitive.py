@@ -1,13 +1,14 @@
 """Output-sensitive answers against their brute-force oracles.
 
-``stabilizer`` (pair-multiset backtracking) and its order (the product of
-basic orbit sizes), the path listings (a depth-first search pruned by the
-table of path counts) and ``is_cm_bipartite`` (partial matchings cut) are
-compared with the n! scan, the layer-by-layer path growth and the
-validate-every-matching loop in ``tests/oracles.py``; ``write_document`` is
-compared with ``document_text`` and with the plain ``json.dumps`` text, also
-when arrays arrive as generators.  The streamed stabilizer and path
-listings are pinned to a small peak of traced memory.
+``stabilizer`` (the ``_assignments`` search, cut by pair-kind masks) and
+its order (the product of basic orbit sizes), the path listings (a
+depth-first search pruned by the table of path counts) and
+``is_cm_bipartite`` (partial matchings cut) are compared with the n! scan,
+the layer-by-layer path growth and the validate-every-matching loop in
+``tests/oracles.py``; ``write_document`` is compared with ``document_text``
+and with the plain ``json.dumps`` text, also when arrays arrive as
+generators.  The streamed stabilizer and path listings are pinned to a
+small peak of traced memory.
 """
 
 import io

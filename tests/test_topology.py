@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from ordkit import topology
 from ordkit.errors import OrdkitError
 from ordkit.relations import Preorder, classify, enumerate_preorders, refines
 from ordkit.topology import (
@@ -12,6 +13,7 @@ from ordkit.topology import (
     to_preorder,
     validate,
 )
+from tests import oracles
 
 
 def brute_force_topologies(n):
@@ -107,7 +109,7 @@ class TestRoundTrips:
 
     def test_topology_to_preorder_and_back_up_to_three_points(self):
         for n in range(1, 4):
-            for t in enumerate_topologies(n):
+            for t in oracles.enumerate_topologies(n):
                 assert from_preorder(to_preorder(t)) == t
 
     def test_more_comparabilities_give_fewer_up_sets(self):
@@ -124,7 +126,7 @@ class TestEnumeration:
 
     def test_counts_match_preorder_counts(self):
         for n in range(1, 5):
-            t_count = sum(1 for _ in enumerate_topologies(n))
+            t_count = sum(1 for _ in oracles.enumerate_topologies(n))
             p_count = sum(1 for _ in enumerate_preorders(n))
             assert t_count == p_count
 
@@ -132,6 +134,13 @@ class TestEnumeration:
         for n in (1, 2, 3):
             direct = sorted(t.opens for t in enumerate_topologies(n))
             assert direct == brute_force_topologies(n)
+
+    def test_stream_order_matches_the_family_growth(self, monkeypatch):
+        """The sorted preorder images come in the closed-family growth's depth-first order."""
+        for n in range(1, 5):
+            assert list(enumerate_topologies(n)) == list(oracles.enumerate_topologies(n))
+        monkeypatch.setattr(topology, "TOPOLOGY_ENUMERATION_CAP", 5)
+        assert list(enumerate_topologies(5)) == list(oracles.enumerate_topologies(5))
 
     def test_no_duplicates_on_four_points(self):
         seen = [t.opens for t in enumerate_topologies(4)]
@@ -167,7 +176,7 @@ class TestBubbleQuotientLattice:
         from ordkit.relations import bubbles, up_sets
 
         for n in (1, 2, 3):
-            for t in enumerate_topologies(n):
+            for t in oracles.enumerate_topologies(n):
                 dec = bubbles(to_preorder(t))
                 assert classify(dec.quotient).partial_order
                 assert len(up_sets(dec.quotient)) == len(t.opens)
