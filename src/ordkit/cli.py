@@ -56,10 +56,8 @@ def _ideal_doc(ideal: edgerings.NamedIdeal) -> dict:
     }
 
 
-def _value_doc(kind: str, value, **extra) -> dict:
-    doc = {"kind": kind, "value": value}
-    doc.update(extra)
-    return doc
+def _value_doc(kind: str, value) -> dict:
+    return {"kind": kind, "value": value}
 
 
 def _emit(doc) -> int:
@@ -92,14 +90,9 @@ def _preorder_from(args) -> tuple[Preorder, tuple[str, ...]]:
     return textio.parse_preorder(_read_source(args), close=not args.no_close)
 
 
-def _named_ideal_from(text: str) -> edgerings.NamedIdeal:
+def _named_ideal_from(text: str, cls: type[edgerings.NamedIdeal]) -> edgerings.NamedIdeal:
     vectors, names = textio.parse_monomials(text)
-    return edgerings.NamedIdeal(names, monomials.minimalize(len(names), vectors))
-
-
-def _squarefree_from(text: str) -> edgerings.SquarefreeIdeal:
-    vectors, names = textio.parse_monomials(text)
-    return edgerings.SquarefreeIdeal(names, monomials.minimalize(len(names), vectors))
+    return cls(names, monomials.minimalize(len(names), vectors))
 
 
 # ---------------------------------------------------------------- preorder
@@ -270,7 +263,7 @@ def _cmd_digraph_render(args) -> int:
 
 
 def _cmd_ideal_preorder(args) -> int:
-    ideal = _named_ideal_from(args.gens)
+    ideal = _named_ideal_from(args.gens, edgerings.NamedIdeal)
     return _emit(_preorder_doc(monomials.associated_preorder(ideal.ideal), ideal.ground))
 
 
@@ -285,19 +278,19 @@ def _order_permutation(spec: str | None, names: Sequence[str]) -> tuple[int, ...
 
 
 def _cmd_ideal_strongly_stable(args) -> int:
-    ideal = _named_ideal_from(args.gens)
+    ideal = _named_ideal_from(args.gens, edgerings.NamedIdeal)
     order = _order_permutation(args.order, ideal.ground)
     value = monomials.is_strongly_stable(ideal.ideal, order)
     return _emit(_value_doc("strongly-stable", value))
 
 
 def _cmd_ideal_most_degenerate(args) -> int:
-    ideal = _named_ideal_from(args.gens)
+    ideal = _named_ideal_from(args.gens, edgerings.NamedIdeal)
     return _emit(_value_doc("most-degenerate", monomials.is_most_degenerate(ideal.ideal)))
 
 
 def _cmd_ideal_stabilizer(args) -> int:
-    ideal = _named_ideal_from(args.gens)
+    ideal = _named_ideal_from(args.gens, edgerings.NamedIdeal)
     count = monomials.stabilizer_order(ideal.ideal)
     ground = ideal.ground
     perms = monomials.iter_stabilizer(ideal.ideal)
@@ -306,7 +299,7 @@ def _cmd_ideal_stabilizer(args) -> int:
 
 
 def _cmd_ideal_to_upset(args) -> int:
-    ideal = _named_ideal_from(args.gens)
+    ideal = _named_ideal_from(args.gens, edgerings.NamedIdeal)
     chains = monomials.ss_to_upset(ideal.ideal)
     return _emit(
         {
@@ -452,7 +445,7 @@ def _cmd_graph_dim(args) -> int:
     if (args.gens is None) == (args.poset is None):
         raise ParseError("give exactly one of --gens or --poset")
     if args.gens is not None:
-        ideal = _named_ideal_from(args.gens)
+        ideal = _named_ideal_from(args.gens, edgerings.NamedIdeal)
         value = edgerings.kdim_artinian(ideal.ideal, ideal.ground)
         return _emit(_value_doc("quotient-dimension", value))
     p, _names = textio.parse_preorder(args.poset)
@@ -467,6 +460,8 @@ def _cmd_graph_letterplace(args) -> int:
 
 def _cmd_graph_co_letterplace(args) -> int:
     p, names = textio.parse_preorder(args.poset)
+    if args.depth is not None and args.depth < 0:
+        raise ParseError("depth must be a natural number")
     if args.full_hom:
         if args.depth is None:
             raise ParseError("--full-hom needs --depth")
@@ -481,7 +476,7 @@ def _cmd_graph_co_letterplace(args) -> int:
 
 
 def _cmd_graph_dual(args) -> int:
-    ideal = _squarefree_from(args.gens)
+    ideal = _named_ideal_from(args.gens, edgerings.SquarefreeIdeal)
     return _emit(_ideal_doc(edgerings.alexander_dual(ideal)))
 
 

@@ -6,7 +6,7 @@ import itertools
 from typing import Iterator
 
 from .errors import OrdkitError
-from .relations import Preorder, Record, Relation, _setattr, check_point_count, closure
+from .relations import Preorder, Record, Relation, check_point_count, closure
 
 MAX_VERTICES = 1 << 16
 
@@ -18,22 +18,18 @@ def check_vertex_count(n: int) -> None:
 
 
 class Edge(Record):
-    __slots__ = ("src", "dst", "label")
+    """A labeled edge from vertex ``src`` to vertex ``dst``; the label is a str."""
 
-    def __init__(self, src: int, dst: int, label: str):
-        _setattr(self, "src", src)
-        _setattr(self, "dst", dst)
-        _setattr(self, "label", label)
+    __slots__ = ("src", "dst", "label")
 
 
 class Digraph(Record):
-    """Vertices ``0..n-1`` and labeled edges; parallel edges are first-class."""
+    """Vertices ``0..n-1`` and a tuple of ``Edge``s; parallel edges are first-class."""
 
     __slots__ = ("n", "edges")
 
-    def __init__(self, n: int, edges: tuple[Edge, ...]):
-        _setattr(self, "n", n)
-        _setattr(self, "edges", edges)
+    def _check(self) -> None:
+        n, edges = self.n, self.edges
         check_vertex_count(n)
         labels = set()
         for e in edges:
@@ -72,15 +68,13 @@ class Digraph(Record):
 
 
 class Path(Record):
-    """A composable edge sequence; the empty path carries only its base vertex."""
+    """A composable tuple of ``Edge``s from vertex ``start``; the empty path carries only ``start``."""
 
     __slots__ = ("start", "edges")
 
-    def __init__(self, start: int, edges: tuple[Edge, ...]):
-        _setattr(self, "start", start)
-        _setattr(self, "edges", edges)
-        at = start
-        for e in edges:
+    def _check(self) -> None:
+        at = self.start
+        for e in self.edges:
             if e.src != at:
                 raise OrdkitError(
                     "digraph-paths", "path", f"edge {e.label} starts at {e.src}, expected {at}"

@@ -8,7 +8,7 @@ in rendered output.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import OrdkitError
 from .monomials import Monomial, MonomialIdeal, minimalize
@@ -19,7 +19,6 @@ from .relations import (
     Relation,
     _assignments,
     _bits,
-    _setattr,
     _transpose,
     classify,
     monotone_maps,
@@ -31,13 +30,12 @@ DUAL_GROUND_CAP = 20
 
 
 class NamedIdeal(Record):
-    """A monomial ideal over a named ground set of variables."""
+    """A ``MonomialIdeal`` over a ``ground`` tuple of variable names."""
 
     __slots__ = ("ground", "ideal")
 
-    def __init__(self, ground: tuple[str, ...], ideal: MonomialIdeal):
-        _setattr(self, "ground", ground)
-        _setattr(self, "ideal", ideal)
+    def _check(self) -> None:
+        ground, ideal = self.ground, self.ideal
         if len(set(ground)) != len(ground):
             raise OrdkitError("edge-rings", "ideal", "duplicate ground set names")
         if ideal.nvars != len(ground):
@@ -51,9 +49,9 @@ class NamedIdeal(Record):
 class SquarefreeIdeal(NamedIdeal):
     __slots__ = ()
 
-    def __init__(self, ground: tuple[str, ...], ideal: MonomialIdeal):
-        super().__init__(ground, ideal)
-        for g in ideal.gens:
+    def _check(self) -> None:
+        super()._check()
+        for g in self.ideal.gens:
             if any(e > 1 for e in g):
                 raise OrdkitError("edge-rings", "ideal", f"generator {g} is not squarefree")
 
@@ -62,13 +60,12 @@ class SquarefreeIdeal(NamedIdeal):
 
 
 class SimpleGraph(Record):
-    """No loops, no multi-edges; vertices carry names."""
+    """Named ``vertices`` and sorted index pairs as ``edges``; no loops, no multi-edges."""
 
     __slots__ = ("vertices", "edges")
 
-    def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[int, int], ...]):
-        _setattr(self, "vertices", vertices)
-        _setattr(self, "edges", edges)
+    def _check(self) -> None:
+        vertices, edges = self.vertices, self.edges
         if len(set(vertices)) != len(vertices):
             raise OrdkitError("edge-rings", "graph", "duplicate vertex names")
         n = len(vertices)
@@ -84,17 +81,15 @@ class SimpleGraph(Record):
 
 
 class BipartiteGraph(Record):
-    """A relation between two named sides, stored as bit rows over side B."""
+    """A relation between two sides of named points, stored as int bit rows over side B."""
 
     __slots__ = ("a_names", "b_names", "relation")
 
-    def __init__(self, a_names: tuple[str, ...], b_names: tuple[str, ...], relation: tuple[int, ...]):
-        _setattr(self, "a_names", a_names)
-        _setattr(self, "b_names", b_names)
-        _setattr(self, "relation", relation)
-        if len(relation) != len(a_names):
+    def _check(self) -> None:
+        relation = self.relation
+        if len(relation) != len(self.a_names):
             raise OrdkitError("edge-rings", "bipartite", "one relation row per A-vertex required")
-        full = (1 << len(b_names)) - 1
+        full = (1 << len(self.b_names)) - 1
         if any(row & ~full for row in relation):
             raise OrdkitError("edge-rings", "bipartite", "relation row has bits beyond side B")
 
@@ -103,13 +98,9 @@ class BipartiteGraph(Record):
 
 
 class CMWitness(Record):
-    """A matching A -> B and the partial order it reads off the relation."""
+    """A matching A -> B, as a tuple of B indices, and the ``Preorder`` it reads off the relation."""
 
     __slots__ = ("matching", "poset")
-
-    def __init__(self, matching: tuple[int, ...], poset: Preorder):
-        _setattr(self, "matching", matching)
-        _setattr(self, "poset", poset)
 
 
 def edge_ideal(g: SimpleGraph) -> SquarefreeIdeal:
@@ -269,6 +260,18 @@ def has_linear_resolution_shape(g: BipartiteGraph) -> bool:
     return all(a & ~b == 0 for a, b in zip(hoods, hoods[1:]))
 
 
+def _graph_ideal(sources: Sequence[str], images: Sequence, maps: Iterable[Sequence[int]]) -> SquarefreeIdeal:
+    """The graphs of ``maps``, as squarefree generators over the ground names ``source.image``."""
+    ground = tuple(f"{a}.{b}" for a in sources for b in images)
+    gens = []
+    for f in maps:
+        exps = [0] * len(ground)
+        for x, v in enumerate(f):
+            exps[x * len(images) + v] = 1
+        gens.append(tuple(exps))
+    return SquarefreeIdeal(ground, minimalize(len(ground), gens))
+
+
 def letterplace(
     p: Preorder,
     q: Preorder,
@@ -280,14 +283,7 @@ def letterplace(
     q_names = tuple(q_names) if q_names is not None else tuple(f"q{j}" for j in range(q.n))
     if len(p_names) != p.n or len(q_names) != q.n:
         raise OrdkitError("edge-rings", "letterplace", "one name per point required")
-    ground = tuple(f"{a}.{b}" for a in p_names for b in q_names)
-    gens = []
-    for f in monotone_maps(p, q):
-        exps = [0] * (p.n * q.n)
-        for x in range(p.n):
-            exps[x * q.n + f(x)] = 1
-        gens.append(tuple(exps))
-    return SquarefreeIdeal(ground, minimalize(p.n * q.n, gens))
+    return _graph_ideal(p_names, q_names, (f.values for f in monotone_maps(p, q)))
 
 
 def co_letterplace(
@@ -330,14 +326,7 @@ def co_letterplace(
             if f[x] and all(f[y] < f[x] for y in _bits(strictly_below[x])) and g not in listed_set:
                 message = f"down-set violation: missing pointwise-smaller map {g}"
                 raise OrdkitError("edge-rings", "co_letterplace", message)
-    ground = tuple(f"{v}.{k}" for v in names for k in range(d + 1))
-    gens = []
-    for f in listed:
-        exps = [0] * (n * (d + 1))
-        for x in range(n):
-            exps[x * (d + 1) + f[x]] = 1
-        gens.append(tuple(exps))
-    return SquarefreeIdeal(ground, minimalize(n * (d + 1), gens))
+    return _graph_ideal(names, range(d + 1), listed)
 
 
 def alexander_dual(ideal: SquarefreeIdeal) -> SquarefreeIdeal:

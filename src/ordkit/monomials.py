@@ -25,7 +25,6 @@ from .relations import (
     Record,
     Relation,
     _assignments,
-    _setattr,
     check_point_count,
     classify,
 )
@@ -57,13 +56,12 @@ def _check_gens(nvars: int, gens: Iterable[Monomial]) -> None:
 
 
 class MonomialIdeal(Record):
-    """A minimal generating set, deduplicated and sorted for determinism."""
+    """A minimal tuple of generating ``Monomial``s in ``nvars`` variables, sorted for determinism."""
 
     __slots__ = ("nvars", "gens")
 
-    def __init__(self, nvars: int, gens: tuple[Monomial, ...]):
-        _setattr(self, "nvars", nvars)
-        _setattr(self, "gens", gens)
+    def _check(self) -> None:
+        nvars, gens = self.nvars, self.gens
         _check_gens(nvars, gens)
         if tuple(sorted(set(gens))) != gens:
             raise OrdkitError("monomial-ideals", "ideal", "generators must be sorted and distinct")
@@ -220,12 +218,12 @@ def _stabilizer_search(ideal: MonomialIdeal):
     permutations that fix the ideal and send x0, x1, ... to ``fixed``.  It is
     ``_assignments`` over the images of x0, x1, ...: variable i may go to j
     only when the exponent pairs (g[i], g[k]) over the generators form the
-    same multiset as (g[j], g[perm[k]]) for every k assigned so far, k = i
-    included.  Interned as pair kinds, those cuts are ANDs of two tables of
-    bit masks over j.  A full assignment that passes them gets the exact
-    test, that the permuted generators are the generators, unless no
-    generator involves more than two variables: then the pair multisets
-    already determine the generators.
+    same multiset as (g[j], g[perm[k]]) for every k < i.  Interned as pair
+    kinds, those cuts are ANDs of bit masks over j; the one for k = 0 already
+    gives x_i and x_j the same exponent multiset.  A full assignment that
+    passes them gets the exact test, that the permuted generators are the
+    generators, unless no generator involves more than two variables: then
+    the pair multisets already determine the generators.
     """
     n = ideal.nvars
     if n > STABILIZER_CAP:
@@ -238,16 +236,15 @@ def _stabilizer_search(ideal: MonomialIdeal):
         tuple(kinds.setdefault(tuple(sorted(zip(columns[i], columns[k]))), len(kinds)) for k in range(n))
         for i in range(n)
     ]
-    # diagonal[t]: the j with pair kind t against themselves; like[v][t]: the j != v of kind t against v.
-    diagonal = [0] * len(kinds)
+    # like[v][t]: the j != v with pair kind t against v.
     like = [[0] * len(kinds) for _ in range(n)]
     for j in range(n):
-        diagonal[pair[j][j]] |= 1 << j
         for v in range(n):
             if v != j:
                 like[v][pair[j][v]] |= 1 << j
     exact = any(n - g.count(0) > 2 for g in ideal.gens)
     gens = set(ideal.gens)
+    everyone = (1 << n) - 1
 
     def search(fixed: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
         if n == 0:
@@ -257,9 +254,7 @@ def _stabilizer_search(ideal: MonomialIdeal):
         def allowed(prefix: list[int]) -> int:
             i = len(prefix)
             row = pair[i]
-            mask = diagonal[row[i]]
-            if i < len(fixed):
-                mask &= 1 << fixed[i]
+            mask = 1 << fixed[i] if i < len(fixed) else everyone
             for v, t in zip(prefix, row):
                 mask &= like[v][t]
             return mask

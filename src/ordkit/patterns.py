@@ -17,7 +17,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import OrdkitError
-from .relations import MAX_POINTS, Preorder, Record, Relation, _bits, _setattr, closure
+from .relations import MAX_POINTS, Preorder, Record, Relation, _bits, closure
 from .topology import FiniteTopology, from_preorder
 
 STANDARD_GENERATOR_CAP = 6
@@ -28,9 +28,8 @@ class PatternMatrix(Record):
 
     __slots__ = ("n", "rows")
 
-    def __init__(self, n: int, rows: tuple[int, ...]):
-        _setattr(self, "n", n)
-        _setattr(self, "rows", rows)
+    def _check(self) -> None:
+        n, rows = self.n, self.rows
         if n < 1 or len(rows) != n:
             raise OrdkitError("pattern-groups", "pattern", "bad shape")
         full = (1 << n) - 1
@@ -47,11 +46,12 @@ class PatternMatrix(Record):
 
 
 class RationalMatrix(Record):
+    """An ``n`` by ``n`` matrix whose ``entries`` are a tuple of rows of ``Fraction``s."""
+
     __slots__ = ("n", "entries")
 
-    def __init__(self, n: int, entries: tuple[tuple[Fraction, ...], ...]):
-        _setattr(self, "n", n)
-        _setattr(self, "entries", entries)
+    def _check(self) -> None:
+        n, entries = self.n, self.entries
         if n < 1 or len(entries) != n or any(len(r) != n for r in entries):
             raise OrdkitError("pattern-groups", "matrix", "matrix is not square of the stated size")
 

@@ -63,15 +63,12 @@ def _assignments(n: int, allowed: Callable[[list[int]], int]) -> Iterator[tuple[
                 masks.append(allowed(values))
 
 
-_setattr = object.__setattr__
-
-
 class Record:
-    """An immutable record whose fields are its ``__slots__``.
+    """An immutable record whose fields are its ``__slots__``, after its base's.
 
-    Each subclass lists its own fields in ``__slots__`` and sets them with
-    ``_setattr`` in an explicit ``__init__`` before validating them.  As for a
-    frozen dataclass, assignment and deletion raise ``AttributeError``, only
+    The constructor binds them by position or by name and calls ``_check``,
+    which a class with an invariant overrides; ``_trusted`` skips it.  As for
+    a frozen dataclass, assignment and deletion raise ``AttributeError``, only
     records of the same class compare equal, and equality, hashing and the
     repr follow the fields in order.
     """
@@ -82,8 +79,29 @@ class Record:
     def __init_subclass__(cls):
         cls._fields = cls._fields + vars(cls).get("__slots__", ())
         cls._key = attrgetter(*cls._fields)
-        # The slot descriptors' setters, which ``_trusted`` calls without an attribute lookup.
+        # The slot descriptors' setters, called without an attribute lookup.
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __init__(self, *values, **named):
+        if named or len(values) != len(self._fields):
+            values = self._bind(values, named)
+        self._set_fields(values)
+        self._check()
+
+    @classmethod
+    def _bind(cls, values: tuple, named: dict) -> tuple:
+        """The field values in field order, from values by position and then by name."""
+        fields, rest = cls._fields, cls._fields[len(values) :]
+        if len(values) > len(fields) or named.keys() != set(rest):
+            raise TypeError(f"{cls.__qualname__}() takes its fields {fields} once each, by position or name")
+        return values + tuple(named[field] for field in rest)
+
+    def _set_fields(self, values) -> None:
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    def _check(self) -> None:
+        """Raise ``OrdkitError`` unless the fields meet the class invariant."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -111,8 +129,7 @@ class Record:
     def _trusted(cls, *values):
         """The record of field values, in field order, that the caller has shown valid."""
         record = object.__new__(cls)
-        for set_field, value in zip(cls._setters, values):
-            set_field(record, value)
+        record._set_fields(values)
         return record
 
 
@@ -123,13 +140,12 @@ def check_point_count(n: int, module: str = "order-core", op: str = "relation") 
 
 
 class Relation(Record):
-    """A binary relation on ``n`` points with no order axioms assumed."""
+    """A binary relation on ``n`` points, held in ``n`` int ``rows``, with no order axioms assumed."""
 
     __slots__ = ("n", "rows")
 
-    def __init__(self, n: int, rows: tuple[int, ...]):
-        _setattr(self, "n", n)
-        _setattr(self, "rows", rows)
+    def _check(self) -> None:
+        n, rows = self.n, self.rows
         check_point_count(n)
         if len(rows) != n:
             raise OrdkitError("order-core", "relation", f"expected {n} rows, got {len(rows)}")
@@ -155,14 +171,13 @@ class Relation(Record):
 
 
 class Preorder(Record):
-    """A reflexive and transitive relation; ``le(x, y)`` reads ``x <= y``."""
+    """A reflexive and transitive ``Relation`` ``rel``; ``le(x, y)`` reads ``x <= y``."""
 
     __slots__ = ("rel",)
 
-    def __init__(self, rel: Relation):
-        _setattr(self, "rel", rel)
-        rows = rel.rows
-        for x in range(rel.n):
+    def _check(self) -> None:
+        rows = self.rows
+        for x in range(self.n):
             if not rows[x] >> x & 1:
                 raise OrdkitError("order-core", "preorder", f"not reflexive: missing {x} <= {x}")
             for y in _bits(rows[x]):
@@ -216,35 +231,24 @@ class Preorder(Record):
 
 
 class PropertyFlags(Record):
-    __slots__ = ("partial_order", "equivalence", "total", "discrete", "coarse")
+    """Which of the named kinds a preorder is, one bool each."""
 
-    def __init__(self, partial_order: bool, equivalence: bool, total: bool, discrete: bool, coarse: bool):
-        _setattr(self, "partial_order", partial_order)
-        _setattr(self, "equivalence", equivalence)
-        _setattr(self, "total", total)
-        _setattr(self, "discrete", discrete)
-        _setattr(self, "coarse", coarse)
+    __slots__ = ("partial_order", "equivalence", "total", "discrete", "coarse")
 
 
 class BubbleDecomposition(Record):
-    """Mutual-comparability classes and the partial order they inherit."""
+    """Mutual-comparability classes, as tuples of points, and the ``Preorder`` they inherit."""
 
     __slots__ = ("blocks", "quotient")
 
-    def __init__(self, blocks: tuple[tuple[int, ...], ...], quotient: Preorder):
-        _setattr(self, "blocks", blocks)
-        _setattr(self, "quotient", quotient)
-
 
 class MonotoneMap(Record):
-    """An order preserving map between two preorders."""
+    """An order preserving map between two preorders; the int ``values[x]`` is the image of x."""
 
     __slots__ = ("source", "target", "values")
 
-    def __init__(self, source: Preorder, target: Preorder, values: tuple[int, ...]):
-        _setattr(self, "source", source)
-        _setattr(self, "target", target)
-        _setattr(self, "values", values)
+    def _check(self) -> None:
+        source, target, values = self.source, self.target, self.values
         if len(values) != source.n:
             raise OrdkitError(
                 "order-core",

@@ -16,7 +16,6 @@ from .relations import (
     Relation,
     _bits,
     _env_cap,
-    _setattr,
     classify,
     enumerate_preorders,
     up_sets,
@@ -34,9 +33,8 @@ class FiniteTopology(Record):
 
     __slots__ = ("n", "opens")
 
-    def __init__(self, n: int, opens: tuple[int, ...]):
-        _setattr(self, "n", n)
-        _setattr(self, "opens", opens)
+    def _check(self) -> None:
+        n, opens = self.n, self.opens
         if n < 1:
             raise OrdkitError("finite-topology", "topology", "need at least one point")
         if tuple(sorted(set(opens))) != opens:

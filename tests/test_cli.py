@@ -443,6 +443,11 @@ class TestGraphCommands:
         )
         assert code == 1 and err.startswith("ERR edge-rings.co_letterplace:")
 
+    @pytest.mark.parametrize("source", [("--full-hom",), ("--maps", "0,1;0,0")])
+    def test_co_letterplace_negative_depth_is_usage_error(self, capsys, source):
+        code, out, err = run(capsys, "graph", "co-letterplace", "--poset", "n=2", *source, "--depth", "-1")
+        assert (code, out, err) == (2, "", "parse error: depth must be a natural number\n")
+
     def test_dual(self, capsys):
         _, out, _ = run(capsys, "graph", "dual", "--gens", "a*b, b*c, c*d")
         assert parse_document(out)["generators"] == ["b*d", "b*c", "a*c"]

@@ -23,6 +23,7 @@ from ordkit.relations import (
     MonotoneMap,
     Preorder,
     PropertyFlags,
+    Record,
     Relation,
     closure,
     enumerate_preorders,
@@ -157,6 +158,46 @@ def test_keyword_construction(name):
     record = FACTORIES[name]()
     fields = {f: getattr(record, f) for f in FIELDS[name]}
     assert type(record)(**fields) == record
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_constructor_binds_arguments_as_a_call_does(name):
+    record = FACTORIES[name]()
+    cls, fields = type(record), FIELDS[name]
+    values = [getattr(record, f) for f in fields]
+    assert cls(values[0], **dict(zip(fields[1:], values[1:]))) == record
+    for make in (
+        lambda: cls(*values[:-1]),
+        lambda: cls(**dict(zip(fields[1:], values[1:]))),
+        lambda: cls(*values, values[-1]),
+        lambda: cls(*values, bogus=values[-1]),
+        lambda: cls(*values, **{fields[0]: values[0]}),
+    ):
+        with pytest.raises(TypeError):
+            make()
+
+
+def test_keyword_construction_checks_the_invariant():
+    with pytest.raises(OrdkitError, match="expected 2 rows, got 1"):
+        Relation(n=2, rows=(1,))
+    with pytest.raises(OrdkitError, match="2 variables but 1 ground names"):
+        SquarefreeIdeal(ground=("x",), ideal=MonomialIdeal(2, ()))
+    with pytest.raises(OrdkitError, match="not squarefree"):
+        SquarefreeIdeal(("x", "y"), ideal=MonomialIdeal(2, ((2, 0),)))
+
+
+def test_trusted_skips_the_invariant_check():
+    assert Relation._trusted(2, (1,)).rows == (1,)
+
+
+def test_no_record_class_writes_its_own_constructor():
+    classes, todo = [], [Record]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        classes += subclasses
+        todo += subclasses
+    assert sorted(cls.__name__ for cls in classes) == NAMES
+    assert [cls for cls in classes if "__init__" in vars(cls)] == []
 
 
 def test_property_flags_by_keyword():
