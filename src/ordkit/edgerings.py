@@ -118,14 +118,19 @@ def doubled_names(names: Sequence[str]) -> tuple[str, ...]:
     return tuple(f"{v}.1" for v in names) + tuple(f"{v}.2" for v in names)
 
 
+def _poset_names(order: Preorder, names: Sequence[str] | None, op: str) -> tuple[str, ...]:
+    """One name per point of a partial order, v0, v1, ... by default; ``op`` tags the errors."""
+    if not classify(order).partial_order:
+        raise OrdkitError("edge-rings", op, "preorder is not antisymmetric")
+    names = tuple(names) if names is not None else tuple(f"v{i}" for i in range(order.n))
+    if len(names) != order.n:
+        raise OrdkitError("edge-rings", op, "one name per point required")
+    return names
+
+
 def doubled_poset_ideal(order: Preorder, names: Sequence[str] | None = None) -> SquarefreeIdeal:
     """Generators (v,1)(w,2) for every v <= w in a partial order."""
-    if not classify(order).partial_order:
-        raise OrdkitError("edge-rings", "doubled_poset_ideal", "preorder is not antisymmetric")
-    n = order.n
-    names = tuple(names) if names is not None else tuple(f"v{i}" for i in range(n))
-    if len(names) != n:
-        raise OrdkitError("edge-rings", "doubled_poset_ideal", "one name per point required")
+    names, n = _poset_names(order, names, "doubled_poset_ideal"), order.n
     gens = []
     for v, w in order.pairs():
         exps = [0] * (2 * n)
@@ -206,8 +211,7 @@ def _standard_count(nvars: int, gens: Sequence[Monomial]) -> int:
 def antichain_dimension(order: Preorder) -> int:
     """Antichain count (the standard monomials of the poset quotient ideal),
     as the up-set count: each antichain is the minimal points of one up-set."""
-    if not classify(order).partial_order:
-        raise OrdkitError("edge-rings", "antichain_dimension", "preorder is not antisymmetric")
+    _poset_names(order, None, "antichain_dimension")
     return len(up_sets(order))
 
 
@@ -299,12 +303,7 @@ def co_letterplace(
     minimal among the points where f > g gives such a map, still above g.
     The first listed f in ascending order that fails names its first missing map.
     """
-    if not classify(order).partial_order:
-        raise OrdkitError("edge-rings", "co_letterplace", "preorder is not antisymmetric")
-    n = order.n
-    names = tuple(names) if names is not None else tuple(f"v{i}" for i in range(n))
-    if len(names) != n:
-        raise OrdkitError("edge-rings", "co_letterplace", "one name per point required")
+    names, n = _poset_names(order, names, "co_letterplace"), order.n
     listed = []
     for f in maps:
         f = tuple(f)

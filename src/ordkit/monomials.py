@@ -7,16 +7,17 @@ vacuous for the first and universally true for the second.
 
 Everything here is characteristic-free combinatorics.  In characteristic
 zero, strong stability coincides with invariance under upper triangular
-coordinate changes; no group action is computed here.  The up-set bijection
-is implemented for the standard chain on the variables; the variant over an
-arbitrary total preorder in place of the chain is a deliberate extension
-point, not guessed at.
+coordinate changes; no group action is computed here.  Strong stability is
+the transfer test of the associated preorder.  Up-sets of chain points over
+the standard chain of variables give ideals by Borel moves; other total
+preorders in place of the chain are an extension point.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
+import math
+from operator import add, itemgetter, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import OrdkitError
@@ -32,6 +33,7 @@ from .relations import (
 Monomial = tuple[int, ...]
 
 STABILIZER_CAP = 8
+BOREL_MOVES_CAP = 200_000
 
 
 def divides(a: Monomial, b: Monomial) -> bool:
@@ -103,80 +105,49 @@ def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
     return any(divides(g, m) for g in ideal.gens)
 
 
-def _exchange(g: Monomial, src: int, dst: int) -> Monomial:
-    out = list(g)
-    out[src] -= 1
-    out[dst] += 1
-    return tuple(out)
+def _transfers(ideal: MonomialIdeal, x: int, y: int) -> bool:
+    """Whether y*(g/x) lies in the ideal for every generator g divisible by x."""
+    step = [(i == y) - (i == x) for i in range(ideal.nvars)]
+    return all(contains(ideal, tuple(map(add, g, step))) for g in ideal.gens if g[x])
 
 
 def associated_preorder(ideal: MonomialIdeal) -> Preorder:
     """x <= y when multiplying any monomial into the ideal via x also works via y.
 
-    Checked on generators only: x <= y iff y*(g/x) lies in the ideal for every
-    minimal generator g divisible by x.  A witness x*m in the ideal that has
-    m itself outside forces a generator g dividing x*m with g/x dividing m,
-    so the generator-level check is equivalent to the quantified definition.
+    Checked on generators by ``_transfers``: a witness x*m in the ideal that
+    has m itself outside forces a generator g dividing x*m with g/x dividing
+    m, so the generator-level check is equivalent to the quantified definition.
     """
     n = ideal.nvars
     check_point_count(n, "monomial-ideals", "associated_preorder")
-    rows = []
-    for x in range(n):
-        row = 0
-        for y in range(n):
-            if all(
-                contains(ideal, _exchange(g, x, y)) for g in ideal.gens if g[x] > 0
-            ):
-                row |= 1 << y
-        rows.append(row)
-    return Preorder(Relation(n, tuple(rows)))
+    rows = tuple(sum(1 << y for y in range(n) if _transfers(ideal, x, y)) for x in range(n))
+    return Preorder(Relation(n, rows))
 
 
 def associated_preorder_by_definition(ideal: MonomialIdeal, bound: int | None = None) -> Preorder:
     """Quantified form of the associated preorder, for cross-checking.
 
-    Tests x <= y against every monomial of total degree up to ``bound``
+    Tests x <= y against every monomial m of total degree up to ``bound``
     (default: the maximal generator degree, which any minimal counterexample
-    m = g/x stays under).
+    m = g/x stays under): row x keeps each y with y*m in the ideal if x*m is.
     """
     n = ideal.nvars
     limit = ideal.max_degree() if bound is None else bound
-    pool = list(monomials_up_to_degree(n, limit))
-    rows = []
-    for x in range(n):
-        row = 0
-        for y in range(n):
-            ok = True
-            for m in pool:
-                with_x = tuple(e + (i == x) for i, e in enumerate(m))
-                with_y = tuple(e + (i == y) for i, e in enumerate(m))
-                if contains(ideal, with_x) and not contains(ideal, with_y):
-                    ok = False
-                    break
-            if ok:
-                row |= 1 << y
-        rows.append(row)
+    rows = [(1 << n) - 1] * n
+    for m in monomials_up_to_degree(n, limit):
+        times = (tuple(e + (i == x) for i, e in enumerate(m)) for x in range(n))
+        into = sum(1 << x for x, xm in enumerate(times) if contains(ideal, xm))
+        rows = [row & into if into >> x & 1 else row for x, row in enumerate(rows)]
     return Preorder(Relation(n, tuple(rows)))
 
 
 def monomials_up_to_degree(nvars: int, bound: int) -> Iterator[Monomial]:
     """Every exponent vector of total degree at most ``bound``."""
-    if nvars == 0:
-        yield ()
-        return
-    for total in range(bound + 1):
-        for cuts in itertools.combinations(range(total + nvars - 1), nvars - 1):
-            prev = -1
-            out = []
-            for c in cuts:
-                out.append(c - prev - 1)
-                prev = c
-            out.append(total + nvars - 2 - prev)
-            yield tuple(out)
+    return map(chain_monomial, itertools.combinations_with_replacement(range(bound + 1), nvars))
 
 
 def is_strongly_stable(ideal: MonomialIdeal, order: Sequence[int] | None = None) -> bool:
-    """Closure under swapping a variable for any larger one, generator by generator.
+    """Whether every later variable of ``order`` transfers to every earlier one.
 
     ``order`` lists the variables from largest to smallest; default is the
     standard order x0 > x1 > ... > x(n-1).
@@ -185,14 +156,7 @@ def is_strongly_stable(ideal: MonomialIdeal, order: Sequence[int] | None = None)
     order = tuple(range(n)) if order is None else tuple(order)
     if sorted(order) != list(range(n)):
         raise OrdkitError("monomial-ideals", "is_strongly_stable", f"{order} is not a permutation")
-    for g in ideal.gens:
-        for pos_j, var_j in enumerate(order):
-            if g[var_j] == 0:
-                continue
-            for var_i in order[:pos_j]:
-                if not contains(ideal, _exchange(g, var_j, var_i)):
-                    return False
-    return True
+    return all(_transfers(ideal, order[j], order[i]) for j in range(n) for i in range(j))
 
 
 def is_most_degenerate(ideal: MonomialIdeal) -> bool:
@@ -301,26 +265,12 @@ def stabilizer(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
 
 def chain_point(m: Monomial) -> tuple[int, ...]:
     """Partial-sum coordinates of a monomial: u_i = e_1 + ... + e_i."""
-    out = []
-    acc = 0
-    for e in m:
-        acc += e
-        out.append(acc)
-    return tuple(out)
+    return tuple(itertools.accumulate(m))
 
 
 def chain_monomial(u: Sequence[int]) -> Monomial:
     """Inverse of chain_point on weakly increasing vectors."""
-    prev = 0
-    out = []
-    for v in u:
-        out.append(v - prev)
-        prev = v
-    return tuple(out)
-
-
-def _dominates(u: Sequence[int], v: Sequence[int]) -> bool:
-    return all(a >= b for a, b in zip(u, v))
+    return tuple(map(sub, u, (0, *u)))
 
 
 def ss_to_upset(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
@@ -330,28 +280,42 @@ def ss_to_upset(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
             "monomial-ideals", "ss_to_upset", "ideal is not strongly stable for the standard order"
         )
     points = [chain_point(g) for g in ideal.gens]
-    minimal = [u for u in points if not any(v != u and _dominates(u, v) for v in points)]
-    return tuple(sorted(set(minimal)))
+    return tuple(sorted(u for u in points if not any(v != u and divides(v, u) for v in points)))
+
+
+def _chain_points(low: Sequence[int], top: int) -> list[tuple[int, ...]]:
+    """The weakly increasing vectors v >= ``low`` with entries at most ``top``, ascending."""
+    points = [()]
+    for floor in low:
+        points = [v + (k,) for v in points for k in range(max(v[-1:] + (floor,)), top + 1)]
+    return points
 
 
 def upset_to_ss(chains: Iterable[Sequence[int]], nvars: int) -> MonomialIdeal:
-    """The strongly stable ideal whose monomials map onto the given up-set."""
-    pts = []
-    for u in chains:
-        u = tuple(u)
+    """The strongly stable ideal whose monomials map onto the given up-set.
+
+    Its minimal generators are the Borel moves v >= u, v[-1] == u[-1], of the
+    listed u that lowering any exponent (1 off v[i:]) takes out of the ideal:
+    those above no listed point of lower degree.
+    """
+    pts = [tuple(u) for u in chains]
+    for u in pts:
         if len(u) != nvars:
             raise OrdkitError(
                 "monomial-ideals", "upset_to_ss", f"chain {u} has wrong length for {nvars} variables"
             )
         if any(e < 0 for e in u) or any(a > b for a, b in zip(u, u[1:])):
             raise OrdkitError("monomial-ideals", "upset_to_ss", f"chain {u} is not weakly increasing")
-        pts.append(u)
-    if not pts:
-        return MonomialIdeal(nvars, ())
-    bound = max(u[-1] for u in pts) if nvars else 0
-    members = [
-        m
-        for m in monomials_up_to_degree(nvars, bound)
-        if any(_dominates(chain_point(m), u) for u in pts)
-    ]
-    return minimalize(nvars, members)
+    if not pts or not nvars:  # no variables: () is the monomial 1
+        return minimalize(nvars, pts)
+    bound = sum(math.comb(u[-1] - u[0] + nvars - 1, nvars - 1) for u in pts)
+    if bound > BOREL_MOVES_CAP:
+        raise OrdkitError(
+            "monomial-ideals", "upset_to_ss", f"{bound} Borel moves exceeds guard {BOREL_MOVES_CAP}"
+        )
+    gens = []
+    for u in pts:
+        below = [w for w in pts if w[-1] < u[-1]]
+        gens += (chain_monomial(v) for v in _chain_points(u, u[-1]) if not any(divides(w, v) for w in below))
+    # One ascending run per u: chain_monomial keeps lexicographic order.
+    return MonomialIdeal._trusted(nvars, tuple(dict.fromkeys(sorted(gens))))

@@ -10,10 +10,19 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
+from ordkit import monomials
 from ordkit.digraphs import Digraph, Path
 from ordkit.edgerings import CMWitness, SquarefreeIdeal
 from ordkit.errors import OrdkitError
-from ordkit.monomials import STABILIZER_CAP, MonomialIdeal, contains, divides, permute_monomial
+from ordkit.monomials import (
+    STABILIZER_CAP,
+    MonomialIdeal,
+    chain_point,
+    contains,
+    divides,
+    monomials_up_to_degree,
+    permute_monomial,
+)
 from ordkit.patterns import RationalMatrix, _check_generators
 from ordkit.relations import Preorder, Relation, _bits, _string_key, classify
 from ordkit.topology import FiniteTopology, to_preorder
@@ -143,6 +152,48 @@ def minimalize(nvars: int, gens) -> MonomialIdeal:
     pool = sorted(set(tuple(g) for g in gens))
     kept = [g for g in pool if not any(h != g and divides(h, g) for h in pool)]
     return MonomialIdeal(nvars, tuple(kept))
+
+
+def upset_to_ss(chains, nvars: int) -> MonomialIdeal:
+    """Minimalize every monomial up to the top degree whose chain point lies above a listed one."""
+    pts = []
+    for u in chains:
+        u = tuple(u)
+        if len(u) != nvars:
+            raise OrdkitError(
+                "monomial-ideals", "upset_to_ss", f"chain {u} has wrong length for {nvars} variables"
+            )
+        if any(e < 0 for e in u) or any(a > b for a, b in zip(u, u[1:])):
+            raise OrdkitError("monomial-ideals", "upset_to_ss", f"chain {u} is not weakly increasing")
+        pts.append(u)
+    if not pts:
+        return MonomialIdeal(nvars, ())
+    bound = max(u[-1] for u in pts) if nvars else 0
+    members = [
+        m
+        for m in monomials_up_to_degree(nvars, bound)
+        if any(all(a >= b for a, b in zip(chain_point(m), u)) for u in pts)
+    ]
+    return monomials.minimalize(nvars, members)
+
+
+def is_strongly_stable(ideal: MonomialIdeal, order: Sequence[int] | None = None) -> bool:
+    """Swap each variable of each generator for every larger one and look the result up."""
+    n = ideal.nvars
+    order = tuple(range(n)) if order is None else tuple(order)
+    if sorted(order) != list(range(n)):
+        raise OrdkitError("monomial-ideals", "is_strongly_stable", f"{order} is not a permutation")
+    for g in ideal.gens:
+        for pos_j, var_j in enumerate(order):
+            if g[var_j] == 0:
+                continue
+            for var_i in order[:pos_j]:
+                swapped = list(g)
+                swapped[var_j] -= 1
+                swapped[var_i] += 1
+                if not contains(ideal, tuple(swapped)):
+                    return False
+    return True
 
 
 def alexander_dual(ideal: SquarefreeIdeal) -> SquarefreeIdeal:

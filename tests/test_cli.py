@@ -242,6 +242,34 @@ class TestIdealCommands:
         _, out, _ = run(capsys, "ideal", "from-upset", "--chains", "0,1", "--vars", " x,, y ")
         assert parse_document(out)["vars"] == ["x", "y"]
 
+    @staticmethod
+    def _from_upset(chains, nvars):
+        """Run ``ideal from-upset`` in a fresh process that must finish within 5 s."""
+        return subprocess.run(
+            [sys.executable, "-c", "from ordkit.cli import entrypoint; entrypoint()",
+             "ideal", "from-upset", "--chains", chains, "--nvars", str(nvars)],
+            capture_output=True,
+            text=True,
+            timeout=5,
+            env={**os.environ, "PYTHONPATH": str(Path(ordkit.__file__).parents[1])},
+        )
+
+    def test_from_upset_of_two_degrees_finishes(self):
+        proc = self._from_upset("0,0,0,0,25; 0,0,0,3,24", 5)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(parse_document(proc.stdout)["generators"]) == 20475
+
+    @pytest.mark.parametrize("chains, nvars", [("0,0,0,0,400", 5), ("0,99999999999999999999", 2)])
+    def test_from_upset_guard_comes_before_any_output(self, chains, nvars):
+        proc = self._from_upset(chains, nvars)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("ERR monomial-ideals.upset_to_ss:") and proc.stderr.count("\n") == 1
+
+    def test_from_upset_of_one_huge_variable_finishes(self):
+        proc = self._from_upset("99999999999999999999", 1)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert parse_document(proc.stdout)["generators"] == ["x0^99999999999999999999"]
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "ideal", "preorder", "--gens", "x^^2")
         assert code == 2 and "column 3" in err

@@ -402,6 +402,32 @@ class TestCoLetterplace:
         assert min(outcomes.values()) > 750, outcomes
 
 
+class TestPosetPreamble:
+    """The three poset-taking kernels share one preamble, each tagging errors with its own name."""
+
+    @pytest.mark.parametrize(
+        "call, op",
+        [
+            (lambda order, names: doubled_poset_ideal(order, names), "doubled_poset_ideal"),
+            (lambda order, names: co_letterplace(order, [], 0, names), "co_letterplace"),
+            (lambda order, names: antichain_dimension(order), "antichain_dimension"),
+        ],
+    )
+    def test_messages_name_the_operation(self, call, op):
+        with pytest.raises(OrdkitError) as caught:
+            call(Preorder.coarse(2), ["v"])
+        assert str(caught.value) == f"edge-rings.{op}: preorder is not antisymmetric"
+        if op != "antichain_dimension":
+            with pytest.raises(OrdkitError) as caught:
+                call(Preorder.chain(2), ["v"])
+            assert str(caught.value) == f"edge-rings.{op}: one name per point required"
+
+    def test_default_names(self):
+        ideal = doubled_poset_ideal(Preorder.chain(2))
+        assert ideal.ground == ("v0.1", "v1.1", "v0.2", "v1.2")
+        assert co_letterplace(Preorder.chain(2), [(0, 0)], 0).ground == ("v0.0", "v1.0")
+
+
 class TestAlexanderDual:
     def test_single_edge(self):
         ideal = SquarefreeIdeal(("a", "b"), minimalize(2, [(1, 1)]))

@@ -2,9 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordkit.errors import OrdkitError
 from ordkit.monomials import (
+    BOREL_MOVES_CAP,
     MonomialIdeal,
     associated_preorder,
     associated_preorder_by_definition,
@@ -21,6 +24,7 @@ from ordkit.monomials import (
     upset_to_ss,
 )
 from ordkit.relations import Preorder, classify, refines, relabel
+from tests import oracles
 
 
 X2_Y2 = minimalize(2, [(2, 0), (0, 2)])
@@ -247,3 +251,67 @@ class TestUpsetBijection:
     def test_bad_chain_rejected(self):
         with pytest.raises(OrdkitError, match="weakly increasing"):
             upset_to_ss([(2, 1)], 2)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OrdkitError as exc:
+        return str(exc)
+
+
+# Up to five chains of up to five entries in 0..7; a drawn chain is sorted
+# unless ``raw`` keeps its order, which lets some be rejected.
+upsets = st.integers(0, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(0, 7), min_size=n, max_size=n), max_size=5), st.just(n), st.booleans()
+    )
+)
+ideals_and_orders = st.integers(0, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=6).map(lambda gens: minimalize(n, gens)),
+        st.permutations(range(n)),
+    )
+)
+
+
+class TestAgainstOracles:
+    @settings(max_examples=400, deadline=None)
+    @given(upsets)
+    def test_upset_to_ss_matches_generate_and_filter(self, drawn):
+        chains, nvars, raw = drawn
+        chains = [tuple(u if raw else sorted(u)) for u in chains]
+        got = _outcome(upset_to_ss, chains, nvars)
+        assert got == _outcome(oracles.upset_to_ss, chains, nvars)
+        if isinstance(got, MonomialIdeal):
+            assert MonomialIdeal(nvars, got.gens) == got
+
+    @settings(max_examples=300, deadline=None)
+    @given(ideals_and_orders)
+    def test_strong_stability_matches_the_generator_scan(self, drawn):
+        ideal, order = drawn
+        assert is_strongly_stable(ideal) == oracles.is_strongly_stable(ideal)
+        assert is_strongly_stable(ideal, order) == oracles.is_strongly_stable(ideal, order)
+
+    def test_monomials_up_to_degree_lists_each_vector_once(self):
+        for nvars in range(5):
+            for bound in range(5):
+                listed = list(monomials_up_to_degree(nvars, bound))
+                box = itertools.product(range(bound + 1), repeat=nvars)
+                assert sorted(listed) == [m for m in box if sum(m) <= bound]
+                assert len(set(listed)) == len(listed)
+
+    def test_borel_move_guard_before_any_move(self):
+        for chains, nvars in [([(0, 0, 0, 0, 400)], 5), ([(0, 10**20)], 2)]:
+            with pytest.raises(OrdkitError, match=f"Borel moves exceeds guard {BOREL_MOVES_CAP}"):
+                upset_to_ss(chains, nvars)
+        assert len(upset_to_ss([(0, 0, 0, 0, 40)], 5).gens) == 135751
+
+    def test_one_variable_needs_no_enumeration(self):
+        assert upset_to_ss([(10**20,)], 1).gens == ((10**20,),)
+
+    def test_empty_upset_and_no_variables(self):
+        assert upset_to_ss([], 3) == MonomialIdeal(3, ())
+        assert upset_to_ss([(), ()], 0) == MonomialIdeal(0, ((),))
+        with pytest.raises(OrdkitError, match="negative variable count"):
+            upset_to_ss([], -1)
