@@ -279,8 +279,7 @@ def ss_to_upset(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
         raise OrdkitError(
             "monomial-ideals", "ss_to_upset", "ideal is not strongly stable for the standard order"
         )
-    points = [chain_point(g) for g in ideal.gens]
-    return tuple(sorted(u for u in points if not any(v != u and divides(v, u) for v in points)))
+    return minimalize(ideal.nvars, map(chain_point, ideal.gens)).gens
 
 
 def _chain_points(low: Sequence[int], top: int) -> list[tuple[int, ...]]:
@@ -313,9 +312,10 @@ def upset_to_ss(chains: Iterable[Sequence[int]], nvars: int) -> MonomialIdeal:
         raise OrdkitError(
             "monomial-ideals", "upset_to_ss", f"{bound} Borel moves exceeds guard {BOREL_MOVES_CAP}"
         )
+    nearest_first = sorted(pts, key=itemgetter(-1), reverse=True)
     gens = []
     for u in pts:
-        below = [w for w in pts if w[-1] < u[-1]]
+        below = [w for w in nearest_first if w[-1] < u[-1]]
         gens += (chain_monomial(v) for v in _chain_points(u, u[-1]) if not any(divides(w, v) for w in below))
     # One ascending run per u: chain_monomial keeps lexicographic order.
     return MonomialIdeal._trusted(nvars, tuple(dict.fromkeys(sorted(gens))))

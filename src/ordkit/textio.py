@@ -177,105 +177,71 @@ def render_preorder(p: Preorder, names: Sequence[str] | None = None) -> str:
 # ---------------------------------------------------------------- monomials
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    @property
-    def column(self) -> int:
-        return self.pos + 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_space(self):
-        while self.peek() in (" ", "\t", "\n"):
-            self.pos += 1
-
-    def take(self, pattern: re.Pattern) -> str | None:
-        m = pattern.match(self.text, self.pos)
-        if not m:
-            return None
-        self.pos = m.end()
-        return m.group(0)
-
-
-_INT = re.compile(r"\d+")
-
-
 def parse_monomials(text: str) -> tuple[list[Monomial], tuple[str, ...]]:
     """Comma-separated generators; each is ``1`` or ``name(^exp)?`` factors
     joined by ``*``.  Names get indices in first-appearance order unless a
-    ``vars:`` header fixes them."""
-    s = _Scanner(text)
-    s.skip_space()
-    names: list[str] = []
-    fixed = False
-    if s.take(re.compile(r"vars\s*:")):
-        fixed = True
+    ``vars:`` header fixes them.  Blanks are spaces, tabs and newlines.  A
+    factor match without a name ends where the missing name is reported."""
+    blanks = re.compile(r"[ \t\n]*").match
+    factor = re.compile(rf"[ \t\n]*(?:({_NAME.pattern})(\^(\d*))?)?").match
+    head = re.match(r"[ \t\n]*vars\s*:", text)
+    index: dict[str, int] = {}
+    pos = 0
+    if head:
+        pos = head.end()
         while True:
-            s.skip_space()
-            name = s.take(_NAME)
+            m = factor(text, pos)
+            name = m[1]
             if name is None:
-                raise ParseError("expected a variable name", s.column)
-            if name in names:
-                raise ParseError(f"duplicate variable {name!r} in vars header", s.column)
-            names.append(name)
-            s.skip_space()
-            if s.peek() == ",":
-                s.pos += 1
-                continue
-            break
-        s.skip_space()
-        if s.peek() != ";":
-            raise ParseError("expected ';' after vars header", s.column)
-        s.pos += 1
+                raise ParseError("expected a variable name", m.end() + 1)
+            pos = m.end(1)
+            if name in index:
+                raise ParseError(f"duplicate variable {name!r} in vars header", pos + 1)
+            index[name] = len(index)
+            pos = blanks(text, pos).end()
+            if text[pos : pos + 1] != ",":
+                break
+            pos += 1
+        if text[pos : pos + 1] != ";":
+            raise ParseError("expected ';' after vars header", pos + 1)
+        pos += 1
 
     exps_by_gen: list[dict[str, int]] = []
-    s.skip_space()
-    while s.peek():
+    pos = blanks(text, pos).end()
+    while pos < len(text):
         factors: dict[str, int] = {}
-        if s.peek() == "1":
-            s.pos += 1
+        if text[pos] == "1":
+            pos += 1
         else:
             while True:
-                s.skip_space()
-                col = s.column
-                name = s.take(_NAME)
+                m = factor(text, pos)
+                name, caret, digits = m.groups()
                 if name is None:
-                    raise ParseError("expected a variable name or 1", s.column)
-                if fixed and name not in names:
-                    raise ParseError(f"variable {name!r} not in vars header", col)
-                if not fixed and name not in names:
-                    names.append(name)
+                    raise ParseError("expected a variable name or 1", m.end() + 1)
+                if name not in index:
+                    if head:
+                        raise ParseError(f"variable {name!r} not in vars header", m.start(1) + 1)
+                    index[name] = len(index)
                 exp = 1
-                if s.peek() == "^":
-                    s.pos += 1
-                    digits = s.take(_INT)
-                    if digits is None:
-                        raise ParseError("expected a positive exponent after ^", s.column)
+                if caret:
+                    if not digits:
+                        raise ParseError("expected a positive exponent after ^", m.end() + 1)
                     exp = int(digits)
                     if exp == 0:
-                        raise ParseError("exponent must be positive", s.column - len(digits))
+                        raise ParseError("exponent must be positive", m.start(3) + 1)
                 factors[name] = factors.get(name, 0) + exp
-                s.skip_space()
-                if s.peek() == "*":
-                    s.pos += 1
-                    continue
-                break
+                pos = blanks(text, m.end()).end()
+                if text[pos : pos + 1] != "*":
+                    break
+                pos += 1
         exps_by_gen.append(factors)
-        s.skip_space()
-        if s.peek() == ",":
-            s.pos += 1
-            s.skip_space()
-            continue
-        if s.peek():
-            raise ParseError(f"unexpected character {s.peek()!r}", s.column)
-    vectors = [
-        tuple(factors.get(name, 0) for name in names) for factors in exps_by_gen
-    ]
-    return vectors, tuple(names)
+        pos = blanks(text, pos).end()
+        if text[pos : pos + 1] == ",":
+            pos = blanks(text, pos + 1).end()
+        elif pos < len(text):
+            raise ParseError(f"unexpected character {text[pos]!r}", pos + 1)
+    names = tuple(index)
+    return [tuple(factors.get(name, 0) for name in names) for factors in exps_by_gen], names
 
 
 def render_monomial(m: Monomial, names: Sequence[str]) -> str:

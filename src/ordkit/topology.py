@@ -7,6 +7,7 @@ pairwise ones on a finite carrier.
 
 from __future__ import annotations
 
+from operator import and_, or_
 from typing import Iterable, Iterator
 
 from .errors import OrdkitError
@@ -45,29 +46,22 @@ def validate(family: Iterable[int], n: int) -> FiniteTopology:
     """Check the three topology axioms, reporting the first violated one."""
     opens = sorted(set(family))
     full = (1 << n) - 1
-    if any(mask & ~full or mask < 0 for mask in opens):
+    if any(mask & ~full for mask in opens):
         raise OrdkitError("finite-topology", "validate", f"subset mask outside {n}-point carrier")
     if 0 not in opens:
         raise OrdkitError("finite-topology", "validate", "missing empty set")
     if full not in opens:
         raise OrdkitError("finite-topology", "validate", "missing full set")
     members = set(opens)
-    for i, u in enumerate(opens):
-        for v in opens[i + 1 :]:
-            if u & v not in members:
-                raise OrdkitError(
-                    "finite-topology",
-                    "validate",
-                    f"not closed under intersection: witness pair {_set_text(u)}, {_set_text(v)}",
-                )
-    for i, u in enumerate(opens):
-        for v in opens[i + 1 :]:
-            if u | v not in members:
-                raise OrdkitError(
-                    "finite-topology",
-                    "validate",
-                    f"not closed under union: witness pair {_set_text(u)}, {_set_text(v)}",
-                )
+    for word, op in (("intersection", and_), ("union", or_)):
+        for i, u in enumerate(opens):
+            for v in opens[i + 1 :]:
+                if op(u, v) not in members:
+                    raise OrdkitError(
+                        "finite-topology",
+                        "validate",
+                        f"not closed under {word}: witness pair {_set_text(u)}, {_set_text(v)}",
+                    )
     return FiniteTopology(n, tuple(opens))
 
 

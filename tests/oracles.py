@@ -2,12 +2,15 @@
 output-sensitive kernels replace.
 
 Each one is the plain generate-and-filter definition, kept only so tests
-can compare the fast versions in ``ordkit`` against it.
+can compare the fast versions in ``ordkit`` against it.  The monomial
+grammar's reference is the character-by-character scanner that the
+pattern-based ``textio.parse_monomials`` replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Iterator, Sequence
 
 from ordkit import monomials
@@ -16,6 +19,7 @@ from ordkit.edgerings import CMWitness, SquarefreeIdeal
 from ordkit.errors import OrdkitError
 from ordkit.monomials import (
     STABILIZER_CAP,
+    Monomial,
     MonomialIdeal,
     chain_point,
     contains,
@@ -25,6 +29,7 @@ from ordkit.monomials import (
 )
 from ordkit.patterns import RationalMatrix, _check_generators
 from ordkit.relations import Preorder, Relation, _bits, _string_key, classify
+from ordkit.textio import _NAME, ParseError
 from ordkit.topology import FiniteTopology, to_preorder
 
 
@@ -309,3 +314,104 @@ def missing_smaller_map(order: Preorder, listed, depth: int) -> tuple[int, ...] 
         if monotone and g not in listed and any(all(a <= b for a, b in zip(g, f)) for f in listed):
             return g
     return None
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    @property
+    def column(self) -> int:
+        return self.pos + 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def skip_space(self):
+        while self.peek() in (" ", "\t", "\n"):
+            self.pos += 1
+
+    def take(self, pattern: re.Pattern) -> str | None:
+        m = pattern.match(self.text, self.pos)
+        if not m:
+            return None
+        self.pos = m.end()
+        return m.group(0)
+
+
+_INT = re.compile(r"\d+")
+
+
+def parse_monomials(text: str) -> tuple[list[Monomial], tuple[str, ...]]:
+    """Comma-separated generators; each is ``1`` or ``name(^exp)?`` factors
+    joined by ``*``.  Names get indices in first-appearance order unless a
+    ``vars:`` header fixes them."""
+    s = _Scanner(text)
+    s.skip_space()
+    names: list[str] = []
+    fixed = False
+    if s.take(re.compile(r"vars\s*:")):
+        fixed = True
+        while True:
+            s.skip_space()
+            name = s.take(_NAME)
+            if name is None:
+                raise ParseError("expected a variable name", s.column)
+            if name in names:
+                raise ParseError(f"duplicate variable {name!r} in vars header", s.column)
+            names.append(name)
+            s.skip_space()
+            if s.peek() == ",":
+                s.pos += 1
+                continue
+            break
+        s.skip_space()
+        if s.peek() != ";":
+            raise ParseError("expected ';' after vars header", s.column)
+        s.pos += 1
+
+    exps_by_gen: list[dict[str, int]] = []
+    s.skip_space()
+    while s.peek():
+        factors: dict[str, int] = {}
+        if s.peek() == "1":
+            s.pos += 1
+        else:
+            while True:
+                s.skip_space()
+                col = s.column
+                name = s.take(_NAME)
+                if name is None:
+                    raise ParseError("expected a variable name or 1", s.column)
+                if fixed and name not in names:
+                    raise ParseError(f"variable {name!r} not in vars header", col)
+                if not fixed and name not in names:
+                    names.append(name)
+                exp = 1
+                if s.peek() == "^":
+                    s.pos += 1
+                    digits = s.take(_INT)
+                    if digits is None:
+                        raise ParseError("expected a positive exponent after ^", s.column)
+                    exp = int(digits)
+                    if exp == 0:
+                        raise ParseError("exponent must be positive", s.column - len(digits))
+                factors[name] = factors.get(name, 0) + exp
+                s.skip_space()
+                if s.peek() == "*":
+                    s.pos += 1
+                    continue
+                break
+        exps_by_gen.append(factors)
+        s.skip_space()
+        if s.peek() == ",":
+            s.pos += 1
+            s.skip_space()
+            continue
+        if s.peek():
+            raise ParseError(f"unexpected character {s.peek()!r}", s.column)
+    vectors = [
+        tuple(factors.get(name, 0) for name in names) for factors in exps_by_gen
+    ]
+    return vectors, tuple(names)

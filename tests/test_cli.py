@@ -259,6 +259,12 @@ class TestIdealCommands:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert len(parse_document(proc.stdout)["generators"]) == 20475
 
+    @pytest.mark.parametrize("ks", [range(400, -1, -1), range(401)], ids=["descending", "ascending"])
+    def test_from_upset_of_many_degrees_finishes(self, ks):
+        proc = self._from_upset("; ".join(f"{k},{897 - k}" for k in ks), 2)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(parse_document(proc.stdout)["generators"]) == 498
+
     @pytest.mark.parametrize("chains, nvars", [("0,0,0,0,400", 5), ("0,99999999999999999999", 2)])
     def test_from_upset_guard_comes_before_any_output(self, chains, nvars):
         proc = self._from_upset(chains, nvars)

@@ -32,6 +32,7 @@ from ordkit.textio import (
     render_hasse,
 )
 from ordkit.topology import from_preorder
+from tests import oracles
 
 
 name_st = st.from_regex(r"[a-z][a-z0-9]{0,3}", fullmatch=True)
@@ -161,6 +162,77 @@ class TestMonomialGrammar:
         )
         text = render_monomials(vectors, names)
         assert parse_monomials(text) == (list(vectors), tuple(names))
+
+
+def _monomials_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as e:
+        return str(e)
+
+
+# Tokens of the monomial grammar, with the near misses that its quirks turn
+# on: "12" is 1 then an unexpected '2', only space, tab and newline are
+# blanks while "vars\r:" is a header, and "\u0663" (Arabic-Indic three) is
+# a digit.
+MONOMIAL_TOKENS = [
+    "x", "y", "z", "x1", "a.b", "a.", "w", "X", "vars", "vars:", "vars :", "vars\r:",
+    "0", "1", "12", "00", "^", "^2", "^0", "^12", "^\u0663", "\u0663",
+    "*", ",", ";", " ", "\t", "\n", "\r", "\x0b", "\xa0",
+]
+
+
+class TestMonomialGrammarAgainstTheScanner:
+    """The pattern-based parser against the character scanner it replaced."""
+
+    @settings(max_examples=400)
+    @given(st.booleans(), st.lists(st.sampled_from(MONOMIAL_TOKENS), max_size=12))
+    def test_token_strings(self, header, tokens):
+        text = ("vars: " if header else "") + "".join(tokens)
+        assert _monomials_outcome(parse_monomials, text) == _monomials_outcome(
+            oracles.parse_monomials, text
+        )
+
+    @settings(max_examples=200)
+    @given(st.text())
+    def test_any_text(self, text):
+        assert _monomials_outcome(parse_monomials, text) == _monomials_outcome(
+            oracles.parse_monomials, text
+        )
+
+
+@pytest.mark.parametrize(
+    "text, column, message",
+    [
+        ("vars: x,  ;", 11, "expected a variable name"),
+        ("vars: ab.c, y ,ab.c ; x", 20, "duplicate variable 'ab.c' in vars header"),
+        ("vars: x  y; x", 10, "expected ';' after vars header"),
+        ("x * \t, y", 6, "expected a variable name or 1"),
+        ("vars: x; x*  w", 14, "variable 'w' not in vars header"),
+        ("x^ 2", 3, "expected a positive exponent after ^"),
+        ("x * y^00", 7, "exponent must be positive"),
+        ("x, 12", 5, "unexpected character '2'"),
+    ],
+)
+def test_monomial_messages_and_columns(text, column, message):
+    with pytest.raises(ParseError) as info:
+        parse_monomials(text)
+    assert info.value.column == column
+    assert str(info.value) == f"parse error at column {column}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("x^\u0663", ([(3,)], ("x",))),
+        ("vars\r\x0b: x; x", ([(1,)], ("x",))),
+        ("  vars :z ,y;y", ([(0, 1)], ("z", "y"))),
+        ("y*x^2, 1,", ([(1, 2), (0, 0)], ("y", "x"))),
+        ("", ([], ())),
+    ],
+)
+def test_monomial_grammar_quirks(text, expected):
+    assert parse_monomials(text) == expected
 
 
 class TestDigraphGrammar:

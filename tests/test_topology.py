@@ -57,6 +57,15 @@ class TestValidate:
         with pytest.raises(OrdkitError, match="intersection"):
             validate([0b0000, 0b0011, 0b0110, 0b0111, 0b1111], 4)
 
+    def test_intersection_is_checked_before_union(self):
+        with pytest.raises(OrdkitError, match=r"intersection: witness pair \{0,1\}, \{1,2\}"):
+            validate([0b0000, 0b0011, 0b0110, 0b1111], 4)
+
+    def test_negative_mask_is_outside_the_carrier(self):
+        for n in (0, 2):
+            with pytest.raises(OrdkitError, match=f"subset mask outside {n}-point carrier"):
+                validate([-1, 0, (1 << n) - 1], n)
+
 
 class TestFromPreorder:
     def test_discrete_preorder_gives_discrete_topology(self):
