@@ -122,13 +122,7 @@ def _cmd_preorder_classify(args) -> int:
         {
             "kind": "classification",
             "preorder": textio.render_preorder(p, names),
-            "flags": {
-                "partial_order": flags.partial_order,
-                "equivalence": flags.equivalence,
-                "total": flags.total,
-                "discrete": flags.discrete,
-                "coarse": flags.coarse,
-            },
+            "flags": {name: getattr(flags, name) for name in flags._fields},
         }
     )
 

@@ -42,29 +42,18 @@ class Digraph(Record):
             labels.add(e.label)
 
     def has_cycle(self) -> bool:
-        """Three-colour depth-first search with an explicit stack."""
-        succ: list[list[int]] = [[] for _ in range(self.n)]
+        """Kahn's source peeling: a vertex on or past a cycle never loses all its in-edges."""
+        into = [0] * self.n
         for e in self.edges:
-            succ[e.src].append(e.dst)
-        color = [0] * self.n
-        for root in range(self.n):
-            if color[root]:
-                continue
-            color[root] = 1
-            stack = [(root, iter(succ[root]))]
-            while stack:
-                v, todo = stack[-1]
-                for w in todo:
-                    if color[w] == 1:
-                        return True
-                    if color[w] == 0:
-                        color[w] = 1
-                        stack.append((w, iter(succ[w])))
-                        break
-                else:
-                    color[v] = 2
-                    stack.pop()
-        return False
+            into[e.dst] += 1
+        out = _out_edges(self)
+        sources = [v for v in range(self.n) if not into[v]]
+        for v in sources:  # grows while it is read: a head whose last in-edge goes is a source
+            for _, w in out[v]:
+                into[w] -= 1
+                if not into[w]:
+                    sources.append(w)
+        return len(sources) < self.n
 
 
 class Path(Record):
@@ -102,6 +91,14 @@ def compose(a: Path, b: Path) -> Path:
     return Path(a.start, a.edges + b.edges)
 
 
+def _out_edges(q: Digraph) -> list[list[tuple[Edge, int]]]:
+    """Each vertex's out-edges, with their heads, in edge order."""
+    out: list[list[tuple[Edge, int]]] = [[] for _ in range(q.n)]
+    for e in q.edges:
+        out[e.src].append((e, e.dst))
+    return out
+
+
 def _ways(
     q: Digraph, limit: int, source: int | None = None, target: int | None = None
 ) -> Iterator[dict[int, int]]:
@@ -115,12 +112,10 @@ def _ways(
     """
     tails = q.edges
     if source is not None:
-        succ: list[list[int]] = [[] for _ in range(q.n)]
-        for e in q.edges:
-            succ[e.src].append(e.dst)
+        out = _out_edges(q)
         seen, todo = {source}, [source]
         while todo:
-            for w in succ[todo.pop()]:
+            for _, w in out[todo.pop()]:
                 if w not in seen:
                     seen.add(w)
                     todo.append(w)
@@ -161,14 +156,8 @@ def _walk(q: Digraph, limit: int, source: int | None = None, target: int | None 
     per edge of the current path.  An edge is taken only when its head
     still has a path of exactly the edges left, by the ``_ways`` rows.
     """
-    alive = []
-    for row in _ways(q, limit, source, target):
-        alive.append(bytearray(q.n))
-        for v in row:
-            alive[-1][v] = 1
-    out: list[list[tuple[Edge, int]]] = [[] for _ in range(q.n)]
-    for e in q.edges:
-        out[e.src].append((e, e.dst))
+    alive = [bytearray(map(row.__contains__, range(q.n))) for row in _ways(q, limit, source, target)]
+    out = _out_edges(q)
     trusted = Path._trusted  # every path found is valid by construction
     for length, reach in enumerate(alive):
         for start in range(q.n) if source is None else (source,):

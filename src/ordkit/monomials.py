@@ -295,7 +295,8 @@ def upset_to_ss(chains: Iterable[Sequence[int]], nvars: int) -> MonomialIdeal:
 
     Its minimal generators are the Borel moves v >= u, v[-1] == u[-1], of the
     listed u that lowering any exponent (1 off v[i:]) takes out of the ideal:
-    those above no listed point of lower degree.
+    those above no minimal listed point of lower degree, since a move above a
+    listed point is above a minimal one.
     """
     pts = [tuple(u) for u in chains]
     for u in pts:
@@ -312,7 +313,7 @@ def upset_to_ss(chains: Iterable[Sequence[int]], nvars: int) -> MonomialIdeal:
         raise OrdkitError(
             "monomial-ideals", "upset_to_ss", f"{bound} Borel moves exceeds guard {BOREL_MOVES_CAP}"
         )
-    nearest_first = sorted(pts, key=itemgetter(-1), reverse=True)
+    nearest_first = sorted(minimalize(nvars, pts).gens, key=itemgetter(-1), reverse=True)
     gens = []
     for u in pts:
         below = [w for w in nearest_first if w[-1] < u[-1]]

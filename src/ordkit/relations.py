@@ -285,38 +285,29 @@ def closure(r: Relation) -> Preorder:
 
 
 def classify(p: Preorder) -> PropertyFlags:
+    """The kinds, read off the rows and columns: a partial order has distinct
+    rows, an equivalence has rows equal to its columns, and a total preorder
+    has every row ORed with its column full."""
     n, rows = p.n, p.rows
-    diagonal = tuple(1 << x for x in range(n))
+    cols = tuple(_transpose(rows))
     full = (1 << n) - 1
-    antisymmetric = all(not (p.le(x, y) and p.le(y, x)) for x in range(n) for y in range(x + 1, n))
-    symmetric = all(rows[x] >> y & 1 == rows[y] >> x & 1 for x in range(n) for y in range(x + 1, n))
-    total = all(p.le(x, y) or p.le(y, x) for x in range(n) for y in range(x + 1, n))
     return PropertyFlags(
-        partial_order=antisymmetric,
-        equivalence=symmetric,
-        total=total,
-        discrete=rows == diagonal,
+        partial_order=len(set(rows)) == n,
+        equivalence=rows == cols,
+        total=all(row | col == full for row, col in zip(rows, cols)),
+        discrete=rows == tuple(1 << x for x in range(n)),
         coarse=rows == (full,) * n,
     )
 
 
 def bubbles(p: Preorder) -> BubbleDecomposition:
-    """Blocks of mutual comparability and the induced partial order on them."""
-    seen: dict[int, int] = {}
-    blocks: list[tuple[int, ...]] = []
-    for x in range(p.n):
-        if x in seen:
-            continue
-        members = tuple(y for y in _bits(p.rows[x]) if p.le(y, x))
-        for y in members:
-            seen[y] = len(blocks)
-        blocks.append(members)
-    reps = [block[0] for block in blocks]
-    rows = tuple(
-        sum(1 << j for j, rj in enumerate(reps) if p.le(ri, rj)) for ri in reps
-    )
-    quotient = Preorder(Relation(len(blocks), rows))
-    return BubbleDecomposition(tuple(blocks), quotient)
+    """The classes of equal rows, by least point, and the partial order they inherit."""
+    blocks: dict[int, tuple[int, ...]] = {}
+    for x, row in enumerate(p.rows):
+        blocks[row] = blocks.get(row, ()) + (x,)
+    reps = [block[0] for block in blocks.values()]
+    rows = tuple(sum(1 << j for j, y in enumerate(reps) if row >> y & 1) for row in blocks)
+    return BubbleDecomposition(tuple(blocks.values()), Preorder(Relation(len(reps), rows)))
 
 
 def refines(p: Preorder, q: Preorder) -> bool:

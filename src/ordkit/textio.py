@@ -73,6 +73,14 @@ def _lookup(index: dict[str, int], name: str, what: str) -> int:
     return index[name]
 
 
+def _index(names: Sequence[str], what: str) -> dict[str, int]:
+    """Each name's position, refusing a repeated name."""
+    index = {name: i for i, name in enumerate(names)}
+    if len(index) < len(names):
+        raise ParseError(f"duplicate {what} names")
+    return index
+
+
 def _count_head(text: str, pattern: str) -> tuple[int, list[str]]:
     """The count of the ``n=<k>`` part that ``pattern`` matches, and the parts after it."""
     head, *parts = text.split(";")
@@ -145,9 +153,7 @@ def parse_preorder(text: str, close: bool = True) -> tuple[Preorder, tuple[str, 
     points = found["points"] if "points" in found else default_point_names(n)
     if len(points) != n:
         raise ParseError(f"{len(points)} point names for n={n}")
-    if len(set(points)) != n:
-        raise ParseError("duplicate point names")
-    index = {name: i for i, name in enumerate(points)}
+    index = _index(points, "point")
     pairs = [[_lookup(index, name, "point") for name in pair] for pair in raw_pairs]
     if close:
         return closure(Relation.from_pairs(n, pairs)), tuple(points)
@@ -293,9 +299,9 @@ def parse_digraph(text: str) -> tuple[Digraph, tuple[str, ...]]:
             raise ParseError(f"expected src->dst:label, got {item!r}")
         raw.append(m.groups())
     points = found["points"] if "points" in found else default_vertex_names(n)
-    if len(points) != n or len(set(points)) != n:
-        raise ParseError(f"need {n} distinct vertex names")
     index = {name: i for i, name in enumerate(points)}
+    if len(points) != n or len(index) != n:
+        raise ParseError(f"need {n} distinct vertex names")
     edges = tuple(
         Edge(_lookup(index, src, "vertex"), _lookup(index, dst, "vertex"), label or f"e{k}")
         for k, (src, dst, label) in enumerate(raw)
@@ -359,8 +365,7 @@ def parse_bipartite(text: str) -> BipartiteGraph:
     a_names, b_names = found["A"], found["B"]
     if set(a_names) & set(b_names):
         raise ParseError("sides A and B must not share names")
-    a_index = {name: i for i, name in enumerate(a_names)}
-    b_index = {name: j for j, name in enumerate(b_names)}
+    a_index, b_index = _index(a_names, "vertex"), _index(b_names, "vertex")
     rows = [0] * len(a_names)
     for item in _items(found.get("edges", "")):
         left, right = _split(item, "-")
@@ -375,8 +380,8 @@ def parse_bipartite(text: str) -> BipartiteGraph:
 def render_bipartite(g: BipartiteGraph) -> str:
     edges = [
         f"{g.a_names[i]}-{g.b_names[j]}"
-        for i in range(len(g.a_names))
-        for j in _bits(g.relation[i])
+        for i, row in enumerate(g.relation)
+        for j in _bits(row)
     ]
     return (
         "A: " + ",".join(g.a_names) + " | B: " + ",".join(g.b_names) + " | edges:"
@@ -427,10 +432,7 @@ def parse_topology(text: str) -> tuple[FiniteTopology, tuple[str, ...]]:
     found = _sections(text.split(";"), ("points", "opens"), "point")
     if "points" not in found or "opens" not in found:
         raise ParseError("need both 'points:' and 'opens:' sections")
-    points = found["points"]
-    if len(set(points)) != len(points):
-        raise ParseError("duplicate point names")
-    index = {name: i for i, name in enumerate(points)}
+    index = _index(found["points"], "point")
     masks = []
     for m in re.finditer(r"\{([^{}]*)\}|([^\s,{}]+)", found["opens"]):
         if m.group(2) is not None:
@@ -439,7 +441,7 @@ def parse_topology(text: str) -> tuple[FiniteTopology, tuple[str, ...]]:
         for token in _items(m.group(1)):
             mask |= 1 << _lookup(index, token, "point")
         masks.append(mask)
-    return validate(masks, len(points)), tuple(points)
+    return validate(masks, len(index)), tuple(index)
 
 
 def render_topology(t: FiniteTopology, names: Sequence[str] | None = None) -> str:

@@ -4,7 +4,10 @@ output-sensitive kernels replace.
 Each one is the plain generate-and-filter definition, kept only so tests
 can compare the fast versions in ``ordkit`` against it.  The monomial
 grammar's reference is the character-by-character scanner that the
-pattern-based ``textio.parse_monomials`` replaced.
+pattern-based ``textio.parse_monomials`` replaced.  ``classify`` and
+``bubbles`` scan pairs of points where ``ordkit`` compares rows and
+columns, and ``has_cycle`` is the three-colour depth-first search that
+Kahn's source peeling replaced.
 """
 
 from __future__ import annotations
@@ -28,7 +31,14 @@ from ordkit.monomials import (
     permute_monomial,
 )
 from ordkit.patterns import RationalMatrix, _check_generators
-from ordkit.relations import Preorder, Relation, _bits, _string_key, classify
+from ordkit.relations import (
+    BubbleDecomposition,
+    Preorder,
+    PropertyFlags,
+    Relation,
+    _bits,
+    _string_key,
+)
 from ordkit.textio import _NAME, ParseError
 from ordkit.topology import FiniteTopology, to_preorder
 
@@ -50,6 +60,40 @@ def enumerate_preorders(n: int) -> Iterator[Preorder]:
     for rows in itertools.product(*choices):
         if _transitive(rows):
             yield Preorder(Relation(n, rows))
+
+
+def classify(p: Preorder) -> PropertyFlags:
+    """The kinds by a scan of every pair of points."""
+    n, rows = p.n, p.rows
+    diagonal = tuple(1 << x for x in range(n))
+    full = (1 << n) - 1
+    antisymmetric = all(not (p.le(x, y) and p.le(y, x)) for x in range(n) for y in range(x + 1, n))
+    symmetric = all(rows[x] >> y & 1 == rows[y] >> x & 1 for x in range(n) for y in range(x + 1, n))
+    total = all(p.le(x, y) or p.le(y, x) for x in range(n) for y in range(x + 1, n))
+    return PropertyFlags(
+        partial_order=antisymmetric,
+        equivalence=symmetric,
+        total=total,
+        discrete=rows == diagonal,
+        coarse=rows == (full,) * n,
+    )
+
+
+def bubbles(p: Preorder) -> BubbleDecomposition:
+    """Blocks of mutual comparability, each found by scanning its least point's row."""
+    seen: dict[int, int] = {}
+    blocks: list[tuple[int, ...]] = []
+    for x in range(p.n):
+        if x in seen:
+            continue
+        members = tuple(y for y in _bits(p.rows[x]) if p.le(y, x))
+        for y in members:
+            seen[y] = len(blocks)
+        blocks.append(members)
+    reps = [block[0] for block in blocks]
+    rows = tuple(sum(1 << j for j, rj in enumerate(reps) if p.le(ri, rj)) for ri in reps)
+    quotient = Preorder(Relation(len(blocks), rows))
+    return BubbleDecomposition(tuple(blocks), quotient)
 
 
 def up_sets(p: Preorder) -> list[int]:
@@ -249,6 +293,32 @@ def stabilizer(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     ]
 
 
+def has_cycle(q: Digraph) -> bool:
+    """Three-colour depth-first search with an explicit stack."""
+    succ: list[list[int]] = [[] for _ in range(q.n)]
+    for e in q.edges:
+        succ[e.src].append(e.dst)
+    color = [0] * q.n
+    for root in range(q.n):
+        if color[root]:
+            continue
+        color[root] = 1
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, todo = stack[-1]
+            for w in todo:
+                if color[w] == 1:
+                    return True
+                if color[w] == 0:
+                    color[w] = 1
+                    stack.append((w, iter(succ[w])))
+                    break
+            else:
+                color[v] = 2
+                stack.pop()
+    return False
+
+
 def paths_up_to_length(q: Digraph, limit: int) -> list[Path]:
     """The empty paths, then each layer grown from the last by every edge out of its ends."""
     if limit < 0:
@@ -266,7 +336,7 @@ def paths_up_to_length(q: Digraph, limit: int) -> list[Path]:
 
 def all_paths(q: Digraph) -> list[Path]:
     """``paths_up_to_length`` at the longest length an acyclic digraph allows."""
-    if q.has_cycle():
+    if has_cycle(q):
         raise OrdkitError(
             "digraph-paths", "paths", "directed cycle found: the free category has infinitely many paths"
         )

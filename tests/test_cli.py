@@ -265,6 +265,13 @@ class TestIdealCommands:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert len(parse_document(proc.stdout)["generators"]) == 498
 
+    def test_from_upset_of_a_far_point_over_a_diagonal_finishes(self):
+        # Each move is tested against the two minimal listed points, not all 401.
+        chains = "; ".join(["0,20000"] + [f"{c},{c}" for c in range(19600, 20000)])
+        proc = self._from_upset(chains, 2)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(parse_document(proc.stdout)["generators"]) == 19601
+
     @pytest.mark.parametrize("chains, nvars", [("0,0,0,0,400", 5), ("0,99999999999999999999", 2)])
     def test_from_upset_guard_comes_before_any_output(self, chains, nvars):
         proc = self._from_upset(chains, nvars)
@@ -409,6 +416,20 @@ class TestGraphCommands:
         code, out, err = run(capsys, "graph", command, "--edges", "a-b", flag, value)
         assert (code, out) == (2, "")
         assert err == f"parse error: give exactly one input source, not both --edges and {flag}\n"
+
+    @pytest.mark.parametrize("command", ["cm-bipartite", "linres"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--input", "A: a,a | B: b,c | edges: a-b, a-c"],
+            ["--input", "A: a,b | B: c,c | edges: a-c"],
+            ["--parts", "a,a|b,c", "--edges", "a-b"],
+            ["--parts", "a,b|c,c", "--edges", "a-c"],
+        ],
+    )
+    def test_repeated_name_within_a_side_is_rejected(self, capsys, command, argv):
+        code, out, err = run(capsys, "graph", command, *argv)
+        assert (code, out, err) == (2, "", "parse error: duplicate vertex names\n")
 
     @pytest.mark.parametrize("command", ["cm-bipartite", "linres"])
     def test_edges_without_parts_say_so(self, capsys, command):

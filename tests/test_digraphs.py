@@ -17,6 +17,7 @@ from ordkit.digraphs import (
 )
 from ordkit.errors import OrdkitError
 from ordkit.relations import Preorder, enumerate_preorders, monotone_maps
+from tests import oracles
 
 
 @pytest.fixture
@@ -100,6 +101,36 @@ class TestPaths:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(OrdkitError, match="duplicate"):
             Digraph(2, (Edge(0, 1, "e"), Edge(0, 1, "e")))
+
+
+def random_multigraph(rng, n):
+    """Random edges, parallel ones included, mostly along a shuffled vertex order.
+
+    Each edge runs back against the order, or is a loop, with a chance drawn
+    per graph, so that acyclic and cyclic inputs both occur.
+    """
+    order = rng.sample(range(n), n)
+    back = rng.choice((0, 0.05, 0.2, 0.5))
+    pairs = []
+    for _ in range(rng.randint(0, 2 * n)):
+        i, j = sorted(rng.choices(range(n), k=2))
+        if rng.random() < back:
+            i, j = j, i
+        elif i == j:
+            continue
+        pairs += [(order[i], order[j])] * rng.choice((1, 1, 2))
+    return Digraph(n, tuple(Edge(a, b, f"e{k}") for k, (a, b) in enumerate(pairs)))
+
+
+class TestHasCycle:
+    def test_source_peeling_agrees_with_depth_first_search(self):
+        rng = random.Random(89)
+        cyclic = 0
+        for _ in range(5000):
+            q = random_multigraph(rng, rng.randint(0, 12))
+            assert q.has_cycle() == oracles.has_cycle(q), q
+            cyclic += q.has_cycle()
+        assert 1000 < cyclic < 4000
 
 
 class TestReachability:

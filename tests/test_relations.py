@@ -110,6 +110,42 @@ class TestClassify:
         assert {k for k, p in classes.items() if classify(p).coarse} == {"i"}
 
 
+def random_preorder(rng, n):
+    """Points dealt into blocks, the blocks ordered as an antichain, a chain or a random DAG."""
+    k = rng.randint(1, n)
+    block = [rng.randrange(k) for _ in range(n)]
+    density = rng.choice((0, 1, rng.random()))
+    pairs = [
+        (x, y)
+        for x in range(n)
+        for y in range(n)
+        if block[x] == block[y] or block[x] < block[y] and rng.random() < density
+    ]
+    return closure(Relation.from_pairs(n, pairs))
+
+
+class TestRowReadings:
+    """``classify`` and ``bubbles`` read rows and columns; the oracles scan pairs of points."""
+
+    def test_every_preorder_up_to_five_points(self):
+        for n in range(1, 6):
+            for p in enumerate_preorders(n):
+                assert classify(p) == oracles.classify(p), p.rows
+                assert bubbles(p) == oracles.bubbles(p), p.rows
+
+    def test_seeded_random_preorders_on_six_to_sixteen_points(self):
+        rng = random.Random(83)
+        seen = {name: set() for name in ("partial_order", "equivalence", "total")}
+        for _ in range(2000):
+            p = random_preorder(rng, rng.randint(6, 16))
+            flags = classify(p)
+            assert flags == oracles.classify(p), p.rows
+            assert bubbles(p) == oracles.bubbles(p), p.rows
+            for name, values in seen.items():
+                values.add(getattr(flags, name))
+        assert all(values == {False, True} for values in seen.values())
+
+
 class TestBubbles:
     def test_bubble_plus_singleton_quotients_to_discrete_pair(self, classes):
         dec = bubbles(classes["f"])

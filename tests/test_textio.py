@@ -456,6 +456,10 @@ GRAMMAR_ERRORS = [
     (parse_bipartite, "A: C | A: a | B: b", "bad vertex name 'C'"),
     (parse_bipartite, "B: b | edges: a-b", "need both 'A:' and 'B:' sections"),
     (parse_bipartite, "A: a", "need both 'A:' and 'B:' sections"),
+    (parse_bipartite, "A: a,a | B: b", "duplicate vertex names"),
+    (parse_bipartite, "A: a | B: b,c,b", "duplicate vertex names"),
+    (parse_bipartite, "A: a,a | B: a", "sides A and B must not share names"),
+    (parse_bipartite, "A: a,a | B: b | edges: a+b", "duplicate vertex names"),
     (parse_topology, "points: a; opens: {}, {a}; foo", "unknown section 'foo'"),
     (parse_topology, "points: a,B; opens: {}", "bad point name 'B'"),
     (parse_topology, "points: a", "need both 'points:' and 'opens:' sections"),
