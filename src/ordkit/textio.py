@@ -6,14 +6,15 @@ Every domain value has a matching parse/render pair such that
 byte-identically; ``document_text`` is the same text as one string.
 
 Only the order core is imported up front.  Each parser imports the layer
-module whose types it builds, and the JSON writer imports ``json``, so a
-command loads only what it uses.
+module whose types it builds, and the two document functions import the
+writer in ``_jsonwriter`` (which imports ``json``), so a command loads only
+what it uses.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from typing import TYPE_CHECKING, Sequence, TextIO
 
 from .errors import OrdkitError
@@ -331,7 +332,7 @@ def parse_graph(text: str) -> SimpleGraph:
         parts[0] = "edges:" + parts[0]
     found = _sections(parts, ("points", "edges"), "vertex")
     points = found.get("points")
-    index = {name: i for i, name in enumerate(points or ())}
+    index = _index(points or (), "vertex")
     raw = []
     for item in _items(found.get("edges", "")):
         a, b = [_check_name(side, "vertex") for side in _split(item, "-")]
@@ -505,64 +506,19 @@ def render_digraph_dot(q: Digraph, names: Sequence[str] | None = None) -> str:
 # ---------------------------------------------------------------- documents
 
 
-_PARTS_PER_WRITE = 4096
-
-
-def _write_json(doc, write) -> None:
-    """Pass ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` to ``write`` in batches.
-
-    Strings go through the escaper ``json`` uses and other scalars through
-    ``json.dumps`` itself, so the bytes match; dict keys must be strings.  Any
-    iterator is written as an array, so rows may come from a generator and
-    are rendered only as they are written: memory holds one batch of parts,
-    never the whole text or answer.
-    """
-    from json import dumps
-    from json.encoder import encode_basestring_ascii as quote
-
-    parts: list[str] = []
-    append = parts.append
-
-    def value(o, lead: str, indent: str) -> None:
-        """Append ``lead`` and the text of ``o``, whose inner lines start with ``indent``."""
-        if isinstance(o, str):
-            append(lead + quote(o))
-        elif o.__class__ is int:
-            append(lead + repr(o))
-        elif isinstance(o, dict):
-            inner = indent + "  "
-            comma, sep = "," + inner, lead + "{" + inner
-            for k, v in sorted(o.items()):
-                value(v, sep + quote(k) + ": ", inner)
-                sep = comma
-            append(indent + "}" if sep is comma else lead + "{}")
-        elif isinstance(o, (list, tuple, Iterator)):
-            inner = indent + "  "
-            comma, sep = "," + inner, lead + "[" + inner
-            for item in o:
-                value(item, sep, inner)
-                sep = comma
-                if len(parts) >= _PARTS_PER_WRITE:
-                    write("".join(parts))
-                    parts.clear()
-            append(indent + "]" if sep is comma else lead + "[]")
-        else:
-            append(lead + dumps(o))
-
-    value(doc, "", "\n")
-    append("\n")
-    write("".join(parts))
-
-
 def write_document(doc, out: TextIO) -> None:
     """Write the canonical JSON text of ``doc`` to ``out`` batch by batch."""
-    _write_json(doc, out.write)
+    from ._jsonwriter import write_json
+
+    write_json(doc, out.write)
 
 
 def document_text(doc) -> str:
     """Canonical JSON: sorted keys, two-space indent, trailing newline."""
+    from ._jsonwriter import write_json
+
     batches: list[str] = []
-    _write_json(doc, batches.append)
+    write_json(doc, batches.append)
     return "".join(batches)
 
 

@@ -431,6 +431,10 @@ class TestGraphCommands:
         code, out, err = run(capsys, "graph", command, *argv)
         assert (code, out, err) == (2, "", "parse error: duplicate vertex names\n")
 
+    def test_repeated_point_name_of_a_graph_is_a_grammar_error(self, capsys):
+        code, out, err = run(capsys, "graph", "edge-ideal", "--edges", "points: a,a,b; edges: a-b")
+        assert (code, out, err) == (2, "", "parse error: duplicate vertex names\n")
+
     @pytest.mark.parametrize("command", ["cm-bipartite", "linres"])
     def test_edges_without_parts_say_so(self, capsys, command):
         code, out, err = run(capsys, "graph", command, "--edges", "a-b")

@@ -7,8 +7,9 @@ depth-first search pruned by the table of path counts) and
 the layer-by-layer path growth and the validate-every-matching loop in
 ``tests/oracles.py``; ``write_document`` is compared with ``document_text``
 and with the plain ``json.dumps`` text, also when arrays arrive as
-generators.  The streamed stabilizer and path listings are pinned to a
-small peak of traced memory.
+generators, and when an array's rows stray from the shape of its first
+row.  The streamed stabilizer, path and up-set listings are pinned to a
+small peak of traced memory, and the writer's batches to a bounded size.
 """
 
 import io
@@ -18,12 +19,15 @@ import math
 import random
 import time
 import tracemalloc
+from collections import defaultdict
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordkit import cli
+from ordkit._jsonwriter import BATCH_CHARS
 from ordkit.digraphs import (
     Digraph,
     Edge,
@@ -38,7 +42,7 @@ from ordkit.digraphs import (
 from ordkit.edgerings import BipartiteGraph, is_cm_bipartite
 from ordkit.errors import OrdkitError
 from ordkit.monomials import divides, iter_stabilizer, minimalize, stabilizer, stabilizer_order
-from ordkit.textio import document_text, write_document
+from ordkit.textio import document_text, parse_digraph, write_document
 from tests import oracles
 
 
@@ -315,6 +319,22 @@ class TestStreamedListings:
         assert cli.main(argv) == 0  # loads the modules and warms the caches first
         assert traced_peak(lambda: cli.main(argv)) < 1 << 20
 
+    def test_paths_document_of_a_dense_dag_peaks_under_half_a_mebibyte(self, monkeypatch):
+        rng, names = random.Random(1), [chr(ord("a") + i) for i in range(18)]
+        edges = [f"{a}->{b}" for i, a in enumerate(names) for b in names[i + 1 :] if rng.random() < 0.62]
+        text = "n=18; edges: " + ", ".join(edges)
+        assert count_paths(parse_digraph(text)[0]) == 12834
+        argv = ["digraph", "paths", "--input", text, "--complete"]
+        monkeypatch.setattr("sys.stdout", NullSink())
+        assert cli.main(argv) == 0
+        assert traced_peak(lambda: cli.main(argv)) < 1 << 19
+
+    def test_upsets_document_of_fourteen_points_peaks_under_one_mebibyte(self, monkeypatch):
+        argv = ["preorder", "upsets", "--input", "n=14"]  # 16,384 up-sets, the list of masks held
+        monkeypatch.setattr("sys.stdout", NullSink())
+        assert cli.main(argv) == 0
+        assert traced_peak(lambda: cli.main(argv)) < 1 << 20
+
     def test_chain_of_three_hundred_vertices_peaks_under_one_mebibyte(self):
         n = 300
         chain = Digraph(n, tuple(Edge(i, i + 1, f"e{i}") for i in range(n - 1)))
@@ -404,6 +424,18 @@ class TestWriteDocument:
         assert len(writes) > 3
         assert "".join(writes) == document_text(doc)
 
+    @pytest.mark.parametrize(
+        "row",
+        ["x" * 5000, {"s": "x" * 5000, "t": ["y" * 2000]}, {"s": "x" * 5000, "f": 0.5}],
+        ids=["strings", "template", "generic"],
+    )
+    def test_batches_are_bounded_by_their_size(self, row):
+        writes = []
+        doc = {"rows": [row] * 400}
+        write_document(doc, SimpleNamespace(write=writes.append))
+        assert "".join(writes) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert len(writes) > 10 and max(map(len, writes)) < 2 * BATCH_CHARS
+
 
 def materialised(doc):
     """``doc`` with every iterator drained into a list, as ``json.dumps`` needs it."""
@@ -468,7 +500,78 @@ def test_writer_matches_json_dumps(doc):
     assert document_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+class Label(str):
+    """A ``str`` subclass, which ``json`` writes as the string it holds."""
+
+
+class Lazy(list):
+    """A list that ``realised`` turns into a generator."""
+
+
+def realised(doc):
+    """``doc`` with every ``Lazy`` list turned into a generator, made afresh on each call."""
+    if isinstance(doc, dict):
+        copy = doc.copy()  # keeps a defaultdict a defaultdict
+        copy.update((k, realised(v)) for k, v in doc.items())
+        return copy
+    if isinstance(doc, (list, tuple)):
+        items = [realised(item) for item in doc]
+        return (item for item in items) if isinstance(doc, Lazy) else type(doc)(items)
+    return doc
+
+
+texts = st.text(max_size=4) | st.sampled_from(["", "Ölçü", "順序", "\U0001f600", 'q"\\', "%s", "%%", "%(a)s"])
+text_lists = st.lists(texts, max_size=3)
+template_values = st.one_of(texts, st.integers(), text_lists, st.dictionaries(texts, texts, min_size=1, max_size=2))
+template_rows = st.one_of(
+    texts, st.integers(), text_lists, st.dictionaries(texts, template_values, min_size=1, max_size=4)
+)
+stray_values = st.one_of(
+    template_values,
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False),
+    texts.map(Label),
+    st.dictionaries(texts, st.integers(), max_size=2),
+    st.lists(st.one_of(texts, st.integers(), st.none()), max_size=3),
+)
+forms = st.sampled_from([tuple, Lazy])
+
+
+def strays(row):
+    """Rows like ``row`` with at most one thing changed: a key, a value's class, a list's form or its text."""
+    if isinstance(row, dict):
+        keys = st.sampled_from(sorted(row))
+        return st.one_of(
+            st.just(row),
+            st.tuples(keys | texts, stray_values).map(lambda kv: {**row, kv[0]: kv[1]}),
+            keys.map(lambda gone: {k: v for k, v in row.items() if k != gone}),
+            keys.map(lambda renamed: defaultdict(str, {k + "_" * (k == renamed): v for k, v in row.items()})),
+            forms.map(lambda form: {k: form(v) if isinstance(v, list) else v for k, v in row.items()}),
+        )
+    if isinstance(row, list):
+        return st.one_of(st.just(row), text_lists, forms.map(lambda form: form(row)), stray_values)
+    return st.one_of(st.just(row), stray_values)
+
+
+@st.composite
+def row_arrays(draw):
+    """A document holding an array whose first row has a template shape and whose later rows stray."""
+    first = draw(template_rows)
+    rows = [first] + [draw(strays(first)) for _ in range(draw(st.integers(0, 6)))]
+    array = draw(st.sampled_from([list, tuple, Lazy]))(rows)
+    return draw(st.sampled_from([array, {"rows": array, "count": len(rows)}, [{"deep": [array]}]]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(row_arrays())
+def test_row_arrays_match_json_dumps(doc):
+    expected = json.dumps(materialised(realised(doc)), indent=2, sort_keys=True) + "\n"
+    assert document_text(realised(doc)) == expected
+
+
 def test_unwritable_values_raise_type_error():
-    for doc in ({1: "a"}, {"rows": {1, 2}}, [b"bytes"]):
+    rows_that_stray = ([{"a": "x"}, {"a": b"x"}], [{"a": "x"}, {1: "x"}], [["a"], [b"x"]], ["a", b"x"], [1, {2}])
+    for doc in ({1: "a"}, {"rows": {1, 2}}, [b"bytes"], *rows_that_stray):
         with pytest.raises(TypeError):
             document_text(doc)

@@ -76,7 +76,8 @@ GROUP_CASES = [
 @pytest.mark.parametrize("argv, layers, stdlib", GROUP_CASES, ids=[" ".join(c[0][:2]) for c in GROUP_CASES])
 def test_a_command_loads_only_its_groups_layers(argv, layers, stdlib):
     modules = loaded(*argv)
-    assert {m for m in modules if m.startswith("ordkit")} == CORE | {f"ordkit.{name}" for name in layers}
+    writer = {"ordkit._jsonwriter"} if "json" in stdlib else set()  # a command that writes a document
+    assert {m for m in modules if m.startswith("ordkit")} == CORE | {f"ordkit.{name}" for name in layers} | writer
     assert not modules & NEVER
     assert modules & HEAVY <= stdlib
 

@@ -446,6 +446,8 @@ GRAMMAR_ERRORS = [
     (parse_graph, "points: a,b; a-b", "unknown section 'a-b'"),
     (parse_graph, "a-b; c-d", "unknown section 'c-d'"),
     (parse_graph, "edges: a-b; c-d", "unknown section 'c-d'"),
+    (parse_graph, "points: a,a,b; edges: a-b", "duplicate vertex names"),
+    (parse_graph, "points: a,a; edges: a-c", "duplicate vertex names"),
     (parse_bipartite, "A: a | B: b | foo", "unknown section 'foo'"),
     (parse_bipartite, "A: a,C | B: b", "bad vertex name 'C'"),
     (parse_bipartite, "A: a | B: b,C", "bad vertex name 'C'"),
