@@ -231,7 +231,7 @@ def _cmd_digraph_paths(args) -> int:
 
 def _cmd_digraph_homs(args) -> int:
     q, names = textio.parse_digraph(_read_source(args))
-    index = {name: i for i, name in enumerate(names)}
+    index = textio._index(names, "vertex")
     source = textio._lookup(index, args.source, "vertex")
     target = textio._lookup(index, args.target, "vertex")
     count = digraphs.count_hom_paths(q, source, target, args.max_length)
@@ -311,14 +311,15 @@ def _cmd_ideal_from_upset(args) -> int:
         nvars = len(names)
         if not names:
             raise ParseError("--vars names no variables")
-        if len(set(names)) != nvars:
-            raise ParseError("duplicate variable names")
+        textio._index(names, "variable")
     else:
         nvars = args.nvars
         if nvars is None:
             if not chains:
                 raise ParseError("give --nvars or --vars for the empty up-set")
             nvars = len(chains[0])
+        elif nvars < 0:
+            raise ParseError("nvars must be a natural number")
         names = tuple(f"x{i}" for i in range(nvars))
     ideal = monomials.upset_to_ss(chains, nvars)
     return _emit(_ideal_doc(edgerings.NamedIdeal(names, ideal)))
@@ -372,8 +373,7 @@ def _point_names(args, n: int) -> Sequence[str]:
     names = textio.parse_names(args.points, "point")
     if len(names) != n:
         raise ParseError(f"need {n} point names")
-    if len(set(names)) != n:
-        raise ParseError("duplicate point names")
+    textio._index(names, "point")
     return names
 
 

@@ -16,7 +16,6 @@ from .relations import (
     MonotoneMap,
     Preorder,
     Record,
-    Relation,
     _assignments,
     _bits,
     _transpose,
@@ -252,7 +251,7 @@ def is_cm_bipartite(g: BipartiteGraph) -> CMWitness | None:
         return ok
 
     for matching in _assignments(n, allowed):
-        return CMWitness(matching, Preorder(Relation(n, tuple(rows_of(matching)))))
+        return CMWitness(matching, Preorder(n, tuple(rows_of(matching))))
     return None
 
 

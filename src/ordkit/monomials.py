@@ -24,7 +24,6 @@ from .errors import OrdkitError
 from .relations import (
     Preorder,
     Record,
-    Relation,
     _assignments,
     check_point_count,
     classify,
@@ -121,7 +120,7 @@ def associated_preorder(ideal: MonomialIdeal) -> Preorder:
     n = ideal.nvars
     check_point_count(n, "monomial-ideals", "associated_preorder")
     rows = tuple(sum(1 << y for y in range(n) if _transfers(ideal, x, y)) for x in range(n))
-    return Preorder(Relation(n, rows))
+    return Preorder(n, rows)
 
 
 def associated_preorder_by_definition(ideal: MonomialIdeal, bound: int | None = None) -> Preorder:
@@ -138,7 +137,7 @@ def associated_preorder_by_definition(ideal: MonomialIdeal, bound: int | None = 
         times = (tuple(e + (i == x) for i, e in enumerate(m)) for x in range(n))
         into = sum(1 << x for x, xm in enumerate(times) if contains(ideal, xm))
         rows = [row & into if into >> x & 1 else row for x, row in enumerate(rows)]
-    return Preorder(Relation(n, tuple(rows)))
+    return Preorder(n, tuple(rows))
 
 
 def monomials_up_to_degree(nvars: int, bound: int) -> Iterator[Monomial]:

@@ -170,12 +170,13 @@ class Relation(Record):
         return [(x, y) for x in range(self.n) for y in _bits(self.rows[x])]
 
 
-class Preorder(Record):
-    """A reflexive and transitive ``Relation`` ``rel``; ``le(x, y)`` reads ``x <= y``."""
+class Preorder(Relation):
+    """A reflexive and transitive ``Relation``; ``le(x, y)`` reads ``x <= y``."""
 
-    __slots__ = ("rel",)
+    __slots__ = ()
 
     def _check(self) -> None:
+        super()._check()
         rows = self.rows
         for x in range(self.n):
             if not rows[x] >> x & 1:
@@ -189,22 +190,10 @@ class Preorder(Record):
                         f"not transitive: {x} <= {y} and {y} <= {z} but not {x} <= {z}",
                     )
 
-    @property
-    def n(self) -> int:
-        return self.rel.n
-
-    @property
-    def rows(self) -> tuple[int, ...]:
-        return self.rel.rows
-
-    def le(self, x: int, y: int) -> bool:
-        return self.rel.has(x, y)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return self.rel.pairs()
+    le = Relation.has
 
     def strict_pairs(self) -> list[tuple[int, int]]:
-        return [(x, y) for x, y in self.rel.pairs() if x != y]
+        return [(x, y) for x, y in self.pairs() if x != y]
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Preorder":
@@ -214,20 +203,20 @@ class Preorder(Record):
     @classmethod
     def discrete(cls, n: int) -> "Preorder":
         check_point_count(n)
-        return cls(Relation(n, tuple(1 << x for x in range(n))))
+        return cls(n, tuple(1 << x for x in range(n)))
 
     @classmethod
     def coarse(cls, n: int) -> "Preorder":
         check_point_count(n)
         full = (1 << n) - 1
-        return cls(Relation(n, (full,) * n))
+        return cls(n, (full,) * n)
 
     @classmethod
     def chain(cls, n: int) -> "Preorder":
         """Ascending chain 0 <= 1 <= ... <= n-1."""
         check_point_count(n)
         full = (1 << n) - 1
-        return cls(Relation(n, tuple((full >> x) << x for x in range(n))))
+        return cls(n, tuple((full >> x) << x for x in range(n)))
 
 
 class PropertyFlags(Record):
@@ -281,7 +270,7 @@ def closure(r: Relation) -> Preorder:
         for x in range(r.n):
             if rows[x] & bit:
                 rows[x] |= rows[k]
-    return Preorder(Relation(r.n, tuple(rows)))
+    return Preorder(r.n, tuple(rows))
 
 
 def classify(p: Preorder) -> PropertyFlags:
@@ -307,7 +296,7 @@ def bubbles(p: Preorder) -> BubbleDecomposition:
         blocks[row] = blocks.get(row, ()) + (x,)
     reps = [block[0] for block in blocks.values()]
     rows = tuple(sum(1 << j for j, y in enumerate(reps) if row >> y & 1) for row in blocks)
-    return BubbleDecomposition(tuple(blocks.values()), Preorder(Relation(len(reps), rows)))
+    return BubbleDecomposition(tuple(blocks.values()), Preorder(len(reps), rows))
 
 
 def refines(p: Preorder, q: Preorder) -> bool:
@@ -359,7 +348,7 @@ def decode(n: int, code: int) -> Preorder:
     for _ in range(n):
         keys.append(code & mask)
         code >>= n
-    return Preorder(Relation(n, tuple(_string_key(k, n) for k in reversed(keys))))
+    return Preorder(n, tuple(_string_key(k, n) for k in reversed(keys)))
 
 
 def enumerate_preorders(n: int) -> Iterator[Preorder]:
@@ -380,7 +369,7 @@ def enumerate_preorders(n: int) -> Iterator[Preorder]:
 
     def extend(k: int) -> Iterator[Preorder]:
         if k == n:
-            yield Preorder._trusted(Relation._trusted(n, tuple(rows)))
+            yield Preorder._trusted(n, tuple(rows))
             return
         above = [rows[x] for x in range(k) if rows[x] >> k & 1]
         for r in choices[k]:
@@ -400,7 +389,7 @@ def relabel(p: Preorder, perm: Sequence[int]) -> Preorder:
     for x in range(p.n):
         for y in _bits(p.rows[x]):
             rows[perm[x]] |= 1 << perm[y]
-    return Preorder(Relation(p.n, tuple(rows)))
+    return Preorder(p.n, tuple(rows))
 
 
 def canonical_form(p: Preorder) -> int:

@@ -156,20 +156,19 @@ def parse_preorder(text: str, close: bool = True) -> tuple[Preorder, tuple[str, 
         raise ParseError(f"{len(points)} point names for n={n}")
     index = _index(points, "point")
     pairs = [[_lookup(index, name, "point") for name in pair] for pair in raw_pairs]
-    if close:
-        return closure(Relation.from_pairs(n, pairs)), tuple(points)
     listed = Relation.from_pairs(n, pairs)
     closed = closure(listed)
-    for x in range(n):
-        gap = closed.rows[x] & ~listed.rows[x]
-        if gap:
-            y = next(_bits(gap))
-            raise OrdkitError(
-                "cli-io",
-                "parse_preorder",
-                f"relation is not reflexive-transitive: missing pair {points[x]}<={points[y]}",
-            )
-    return Preorder(listed), tuple(points)
+    if not close:
+        for x in range(n):
+            gap = closed.rows[x] & ~listed.rows[x]
+            if gap:
+                y = next(_bits(gap))
+                raise OrdkitError(
+                    "cli-io",
+                    "parse_preorder",
+                    f"relation is not reflexive-transitive: missing pair {points[x]}<={points[y]}",
+                )
+    return closed, tuple(points)
 
 
 def render_preorder(p: Preorder, names: Sequence[str] | None = None) -> str:

@@ -14,7 +14,6 @@ from .errors import OrdkitError
 from .relations import (
     Preorder,
     Record,
-    Relation,
     _bits,
     _env_cap,
     classify,
@@ -85,7 +84,7 @@ def minimal_open(t: FiniteTopology, x: int) -> int:
 def to_preorder(t: FiniteTopology) -> Preorder:
     """x <= y when every open containing x also contains y."""
     rows = tuple(minimal_open(t, x) for x in range(t.n))
-    return Preorder(Relation(t.n, rows))
+    return Preorder(t.n, rows)
 
 
 def is_t0(t: FiniteTopology) -> bool:

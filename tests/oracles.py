@@ -35,7 +35,6 @@ from ordkit.relations import (
     BubbleDecomposition,
     Preorder,
     PropertyFlags,
-    Relation,
     _bits,
     _string_key,
 )
@@ -59,7 +58,7 @@ def enumerate_preorders(n: int) -> Iterator[Preorder]:
     ]
     for rows in itertools.product(*choices):
         if _transitive(rows):
-            yield Preorder(Relation(n, rows))
+            yield Preorder(n, rows)
 
 
 def classify(p: Preorder) -> PropertyFlags:
@@ -92,7 +91,7 @@ def bubbles(p: Preorder) -> BubbleDecomposition:
         blocks.append(members)
     reps = [block[0] for block in blocks]
     rows = tuple(sum(1 << j for j, rj in enumerate(reps) if p.le(ri, rj)) for ri in reps)
-    quotient = Preorder(Relation(len(blocks), rows))
+    quotient = Preorder(len(blocks), rows)
     return BubbleDecomposition(tuple(blocks), quotient)
 
 
@@ -368,7 +367,7 @@ def is_cm_bipartite(g) -> CMWitness | None:
     for matching in perfect_matchings(g.relation):
         rows = tuple(sum(1 << j for j in range(n) if g.has(i, matching[j])) for i in range(n))
         try:
-            order = Preorder(Relation(n, rows))
+            order = Preorder(n, rows)
         except OrdkitError:
             continue
         if classify(order).partial_order:

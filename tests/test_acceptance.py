@@ -57,7 +57,6 @@ from ordkit.patterns import (
 from ordkit.errors import OrdkitError
 from ordkit.relations import (
     Preorder,
-    Relation,
     are_isomorphic,
     canonical_form,
     classify,
@@ -283,7 +282,7 @@ def test_criterion_08_pattern_groups():
                     rows[v] |= 1 << w
             closed = pattern_closed_under_product(PatternMatrix(3, tuple(rows)))
             try:
-                Preorder(Relation(3, tuple(rows)))
+                Preorder(3, tuple(rows))
                 is_preorder = True
             except OrdkitError:
                 is_preorder = False

@@ -238,6 +238,11 @@ class TestIdealCommands:
         code, out, err = run(capsys, "ideal", "from-upset", "--vars", " , ", "--chains", "0,1")
         assert (code, out, err) == (2, "", "parse error: --vars names no variables\n")
 
+    @pytest.mark.parametrize("chains", ["1,2", ""])
+    def test_from_upset_negative_nvars_is_usage_error(self, capsys, chains):
+        code, out, err = run(capsys, "ideal", "from-upset", "--chains", chains, "--nvars", "-1")
+        assert (code, out, err) == (2, "", "parse error: nvars must be a natural number\n")
+
     def test_from_upset_skips_empty_variable_entries(self, capsys):
         _, out, _ = run(capsys, "ideal", "from-upset", "--chains", "0,1", "--vars", " x,, y ")
         assert parse_document(out)["vars"] == ["x", "y"]

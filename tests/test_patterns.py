@@ -22,7 +22,6 @@ from ordkit.patterns import (
 )
 from ordkit.relations import (
     Preorder,
-    Relation,
     canonical_form,
     classify,
     enumerate_preorders,
@@ -143,7 +142,7 @@ class TestClosedUnderProduct:
             pat = PatternMatrix(3, tuple(rows))
             closed = pattern_closed_under_product(pat)
             try:
-                Preorder(Relation(3, tuple(rows)))
+                Preorder(3, tuple(rows))
                 is_preorder = True
             except OrdkitError:
                 is_preorder = False

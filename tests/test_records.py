@@ -33,7 +33,7 @@ from ordkit.topology import FiniteTopology, from_preorder, validate
 
 
 def _chain(n):
-    return Preorder(Relation(n, tuple(((1 << n) - 1) >> x << x for x in range(n))))
+    return Preorder(n, tuple(((1 << n) - 1) >> x << x for x in range(n)))
 
 
 # Each factory builds a fresh record, so two calls give equal but distinct objects.
@@ -54,15 +54,15 @@ FACTORIES = {
     "SquarefreeIdeal": lambda: SquarefreeIdeal(("x", "y"), MonomialIdeal(2, ((1, 1),))),
     "SimpleGraph": lambda: SimpleGraph(("a", "b", "c"), ((0, 1), (1, 2))),
     "BipartiteGraph": lambda: BipartiteGraph(("a",), ("b", "c"), (3,)),
-    "CMWitness": lambda: CMWitness((0,), Preorder(Relation(1, (1,)))),
+    "CMWitness": lambda: CMWitness((0,), Preorder(1, (1,))),
 }
 
 # For each class, a record that differs from the factory's in the last field only.
 VARIANTS = {
     "Relation": lambda: Relation(2, (3, 3)),
-    "Preorder": lambda: Preorder(Relation(2, (3, 3))),
+    "Preorder": lambda: Preorder(2, (3, 3)),
     "PropertyFlags": lambda: PropertyFlags(True, False, True, False, True),
-    "BubbleDecomposition": lambda: BubbleDecomposition(((0,), (1,)), Preorder(Relation(2, (1, 2)))),
+    "BubbleDecomposition": lambda: BubbleDecomposition(((0,), (1,)), Preorder(2, (1, 2))),
     "MonotoneMap": lambda: MonotoneMap(_chain(2), _chain(3), (1, 2)),
     "FiniteTopology": lambda: FiniteTopology(2, (0, 1, 3)),
     "Edge": lambda: Edge(0, 1, "f"),
@@ -81,7 +81,7 @@ VARIANTS = {
 # Field names in declaration order, as the constructors take them.
 FIELDS = {
     "Relation": ("n", "rows"),
-    "Preorder": ("rel",),
+    "Preorder": ("n", "rows"),
     "PropertyFlags": ("partial_order", "equivalence", "total", "discrete", "coarse"),
     "BubbleDecomposition": ("blocks", "quotient"),
     "MonotoneMap": ("source", "target", "values"),
@@ -214,6 +214,14 @@ def test_named_and_squarefree_ideals_never_compare_equal():
     assert len({named, squarefree}) == 2
 
 
+def test_a_preorder_is_a_relation_built_from_its_rows():
+    assert issubclass(Preorder, Relation)
+    assert Relation(2, (1, 3)) != Preorder(2, (1, 3))
+    relation = Relation(2, (1, 3))
+    with pytest.raises(TypeError):
+        Preorder(relation)
+
+
 def test_records_do_not_equal_their_field_tuples():
     assert Relation(2, (1, 3)) != (2, (1, 3))
     assert Edge(0, 1, "e") != Path(0, ())
@@ -257,9 +265,8 @@ def test_trusted_enumerated_preorders_equal_the_validated_ones():
     found = list(enumerate_preorders(4))
     assert len(found) == 355
     for p in found:
-        checked = Preorder(Relation(p.n, p.rows))
+        checked = Preorder(p.n, p.rows)
         assert p == checked and hash(p) == hash(checked) and repr(p) == repr(checked)
-        assert p.rel == checked.rel and hash(p.rel) == hash(checked.rel)
 
 
 def test_trusted_topologies_equal_the_validated_ones():
@@ -288,9 +295,9 @@ VALIDATION = [
     (lambda: Relation(17, (0,) * 17), "order-core.relation: point count 17 outside 1..16"),
     (lambda: Relation(2, (1,)), "order-core.relation: expected 2 rows, got 1"),
     (lambda: Relation(2, (4, 2)), "order-core.relation: row 0 has bits beyond point 1"),
-    (lambda: Preorder(Relation(2, (0, 2))), "order-core.preorder: not reflexive: missing 0 <= 0"),
+    (lambda: Preorder(2, (0, 2)), "order-core.preorder: not reflexive: missing 0 <= 0"),
     (
-        lambda: Preorder(Relation(3, (0b011, 0b110, 0b100))),
+        lambda: Preorder(3, (0b011, 0b110, 0b100)),
         "order-core.preorder: not transitive: 0 <= 1 and 1 <= 2 but not 0 <= 2",
     ),
     (lambda: MonotoneMap(_chain(2), _chain(2), (0,)), "order-core.monotone-map: expected 2 values, got 1"),

@@ -56,7 +56,7 @@ class TestClosure:
     def test_idempotent_on_all_small_relations(self):
         for r in all_relations(3):
             once = closure(r)
-            assert closure(once.rel) == once
+            assert closure(once) == once
 
     def test_matches_naive_fixpoint_on_all_small_relations(self):
         for r in all_relations(3):
@@ -72,6 +72,22 @@ class TestClosure:
                     break
                 pairs |= extra
             assert set(closure(r).pairs()) == pairs
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exactly_the_closed_rows_build_a_preorder(self, n):
+        for rows in itertools.product(range(1 << n), repeat=n):
+            closed = closure(Relation(n, rows))
+            if closed.rows == rows:
+                p = Preorder(n, rows)
+                assert p == closed and hash(p) == hash(closed)
+            else:
+                with pytest.raises(OrdkitError) as info:
+                    Preorder(n, rows)
+                assert str(info.value).startswith(
+                    ("order-core.preorder: not reflexive", "order-core.preorder: not transitive")
+                )
 
 
 class TestClassify:
@@ -178,7 +194,7 @@ class TestBubbles:
             rows = tuple(
                 sum(1 << y for y in range(p.n) if p.le(x, y) and p.le(y, x)) for x in range(p.n)
             )
-            return Preorder(Relation(p.n, rows))
+            return Preorder(p.n, rows)
 
         for key in "abcde":
             assert induced(classes[key]) == classes["a"]
