@@ -333,16 +333,11 @@ def _parse_pattern_rows(text: str) -> patterns.PatternMatrix:
     n = len(rows)
     if any(len(row) != n or set(row) - {"0", "1"} for row in rows):
         raise ParseError("pattern rows must be equal-length strings of 0/1")
-    masks = tuple(
-        sum(1 << w for w, ch in enumerate(row) if ch == "1") for row in rows
-    )
-    return patterns.PatternMatrix(n, masks)
+    return patterns.PatternMatrix(n, tuple(int(row[::-1], 2) for row in rows))
 
 
 def _pattern_doc(pat: patterns.PatternMatrix) -> dict:
-    rows = [
-        "".join("1" if pat.allows(v, w) else "0" for w in range(pat.n)) for v in range(pat.n)
-    ]
+    rows = [f"{row:0{pat.n}b}"[::-1] for row in pat.rows]
     return {"kind": "pattern", "n": pat.n, "rows": rows}
 
 
@@ -459,13 +454,13 @@ def _cmd_graph_co_letterplace(args) -> int:
     if args.full_hom:
         if args.depth is None:
             raise ParseError("--full-hom needs --depth")
-        maps = [
-            f.values for f in relations.monotone_maps(p, Preorder.chain(args.depth + 1))
-        ]
-    else:
-        if args.maps is None:
-            raise ParseError("give --maps or --full-hom")
-        maps = textio.parse_int_tuples(args.maps)
+        chain = Preorder.chain(args.depth + 1)
+        names = edgerings._poset_names(p, names, "co_letterplace")
+        ideal = edgerings.letterplace(p, chain, names, range(args.depth + 1))
+        return _emit(_ideal_doc(ideal))
+    if args.maps is None:
+        raise ParseError("give --maps or --full-hom")
+    maps = textio.parse_int_tuples(args.maps)
     return _emit(_ideal_doc(edgerings.co_letterplace(p, maps, args.depth, names)))
 
 
@@ -760,3 +755,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

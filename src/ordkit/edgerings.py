@@ -3,7 +3,9 @@ letterplace machinery with squarefree Alexander duality.
 
 Ground sets carry variable names; product ground sets use dotted names like
 ``v.1`` so a doubled vertex set or a product of two preorders stays readable
-in rendered output.
+in rendered output.  The co-letterplace ideal of the full Hom(P, [d+1]) is
+the letterplace ideal L(P, [d+1]) into the chain, so ``co_letterplace`` is
+left only the explicitly listed down-sets of maps.
 """
 
 from __future__ import annotations
@@ -102,15 +104,20 @@ class CMWitness(Record):
     __slots__ = ("matching", "poset")
 
 
+def _squarefree(ground: Sequence[str], supports: Iterable[Iterable[int]]) -> SquarefreeIdeal:
+    """The ideal over ``ground`` with one generator per support, a collection of variable indices."""
+    gens = []
+    for support in supports:
+        exps = [0] * len(ground)
+        for i in support:
+            exps[i] = 1
+        gens.append(tuple(exps))
+    return SquarefreeIdeal(ground, minimalize(len(ground), gens))
+
+
 def edge_ideal(g: SimpleGraph) -> SquarefreeIdeal:
     """One quadratic squarefree generator per edge."""
-    n = len(g.vertices)
-    gens = []
-    for a, b in g.edges:
-        exps = [0] * n
-        exps[a] = exps[b] = 1
-        gens.append(tuple(exps))
-    return SquarefreeIdeal(g.vertices, minimalize(n, gens))
+    return _squarefree(g.vertices, g.edges)
 
 
 def doubled_names(names: Sequence[str]) -> tuple[str, ...]:
@@ -130,13 +137,7 @@ def _poset_names(order: Preorder, names: Sequence[str] | None, op: str) -> tuple
 def doubled_poset_ideal(order: Preorder, names: Sequence[str] | None = None) -> SquarefreeIdeal:
     """Generators (v,1)(w,2) for every v <= w in a partial order."""
     names, n = _poset_names(order, names, "doubled_poset_ideal"), order.n
-    gens = []
-    for v, w in order.pairs():
-        exps = [0] * (2 * n)
-        exps[v] += 1
-        exps[n + w] += 1
-        gens.append(tuple(exps))
-    return SquarefreeIdeal(doubled_names(names), minimalize(2 * n, gens))
+    return _squarefree(doubled_names(names), ((v, n + w) for v, w in order.pairs()))
 
 
 def quotient_identify(ideal: SquarefreeIdeal) -> NamedIdeal:
@@ -259,20 +260,14 @@ def has_linear_resolution_shape(g: BipartiteGraph) -> bool:
     """True when the A-side neighborhoods form a chain under inclusion,
     equivalently when total orders on both sides make the relation an up-set
     of the product order."""
-    hoods = sorted(g.relation, key=lambda mask: bin(mask).count("1"))
+    hoods = sorted(g.relation, key=int.bit_count)
     return all(a & ~b == 0 for a, b in zip(hoods, hoods[1:]))
 
 
 def _graph_ideal(sources: Sequence[str], images: Sequence, maps: Iterable[Sequence[int]]) -> SquarefreeIdeal:
     """The graphs of ``maps``, as squarefree generators over the ground names ``source.image``."""
     ground = tuple(f"{a}.{b}" for a in sources for b in images)
-    gens = []
-    for f in maps:
-        exps = [0] * len(ground)
-        for x, v in enumerate(f):
-            exps[x * len(images) + v] = 1
-        gens.append(tuple(exps))
-    return SquarefreeIdeal(ground, minimalize(len(ground), gens))
+    return _squarefree(ground, ((x * len(images) + v for x, v in enumerate(f)) for f in maps))
 
 
 def letterplace(
@@ -343,7 +338,7 @@ def alexander_dual(ideal: SquarefreeIdeal) -> SquarefreeIdeal:
     universe = 0
     for s in supports:
         universe |= s
-    if bin(universe).count("1") > DUAL_GROUND_CAP:
+    if universe.bit_count() > DUAL_GROUND_CAP:
         raise OrdkitError("edge-rings", "alexander_dual", f"support union exceeds guard {DUAL_GROUND_CAP}")
     transversals = [0]
     for s in supports:

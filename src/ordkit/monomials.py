@@ -123,17 +123,16 @@ def associated_preorder(ideal: MonomialIdeal) -> Preorder:
     return Preorder(n, rows)
 
 
-def associated_preorder_by_definition(ideal: MonomialIdeal, bound: int | None = None) -> Preorder:
+def associated_preorder_by_definition(ideal: MonomialIdeal) -> Preorder:
     """Quantified form of the associated preorder, for cross-checking.
 
-    Tests x <= y against every monomial m of total degree up to ``bound``
-    (default: the maximal generator degree, which any minimal counterexample
-    m = g/x stays under): row x keeps each y with y*m in the ideal if x*m is.
+    Tests x <= y against every monomial m of total degree up to the maximal
+    generator degree, which any minimal counterexample m = g/x stays under:
+    row x keeps each y with y*m in the ideal if x*m is.
     """
     n = ideal.nvars
-    limit = ideal.max_degree() if bound is None else bound
     rows = [(1 << n) - 1] * n
-    for m in monomials_up_to_degree(n, limit):
+    for m in monomials_up_to_degree(n, ideal.max_degree()):
         times = (tuple(e + (i == x) for i, e in enumerate(m)) for x in range(n))
         into = sum(1 << x for x, xm in enumerate(times) if contains(ideal, xm))
         rows = [row & into if into >> x & 1 else row for x, row in enumerate(rows)]

@@ -1,13 +1,15 @@
 """Pattern matrix groups attached to preorders, over exact rationals.
 
-The pattern of a preorder allows entry (v, w) exactly when w <= v, so a
-descending total order on the display order gives the upper triangular
-matrices, the discrete preorder the diagonal torus, and the coarse preorder
-the full matrix group.  Column y of a matrix is the image of basis vector y;
-a subset is invariant when every generator keeps those columns inside it.
-Invariance under a finite generator set already gives invariance under the
-generated group: products clearly preserve it, and an invertible g with
-g<Y> inside <Y> forces equality by dimension, so inverses preserve it too.
+The pattern of a preorder allows entry (v, w) exactly when w <= v, so its
+rows are the preorder's transposed rows and its closure under the boolean
+product is the preorder's transitivity.  A descending total order on the
+display order gives the upper triangular matrices, the discrete preorder
+the diagonal torus, and the coarse preorder the full matrix group.  Column
+y of a matrix is the image of basis vector y; a subset is invariant when
+every generator keeps those columns inside it.  Invariance under a finite
+generator set already gives invariance under the generated group: products
+clearly preserve it, and an invertible g with g<Y> inside <Y> forces
+equality by dimension, so inverses preserve it too.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import OrdkitError
-from .relations import MAX_POINTS, Preorder, Record, Relation, _bits, closure
+from .relations import MAX_POINTS, Preorder, Record, Relation, _bits, _transpose, closure
 from .topology import FiniteTopology, from_preorder
 
 STANDARD_GENERATOR_CAP = 6
@@ -120,22 +122,14 @@ def is_invertible(g: RationalMatrix) -> bool:
 
 
 def pattern_from_preorder(p: Preorder) -> PatternMatrix:
-    """Entry (v, w) may be nonzero exactly when w <= v in the preorder."""
-    rows = tuple(
-        sum(1 << w for w in range(p.n) if p.le(w, v)) for v in range(p.n)
-    )
-    return PatternMatrix(p.n, rows)
+    """Entry (v, w) may be nonzero exactly when w <= v: the transposed rows of ``p``."""
+    return PatternMatrix._trusted(p.n, tuple(_transpose(p.rows)))
 
 
 def pattern_closed_under_product(pat: PatternMatrix) -> bool:
-    """True when the boolean product of the pattern with itself stays inside it."""
-    for v in range(pat.n):
-        reach = 0
-        for k in _bits(pat.rows[v]):
-            reach |= pat.rows[k]
-        if reach & ~pat.rows[v]:
-            return False
-    return True
+    """True when the pattern's boolean square stays inside it: its rows are transitive."""
+    rows = pat.rows
+    return all(rows[k] & ~row == 0 for row in rows for k in _bits(row))
 
 
 def membership(g: RationalMatrix, p: Preorder) -> bool:
@@ -144,8 +138,7 @@ def membership(g: RationalMatrix, p: Preorder) -> bool:
         raise OrdkitError("pattern-groups", "membership", f"size mismatch: matrix {g.n}, preorder {p.n}")
     if not is_invertible(g):
         raise OrdkitError("pattern-groups", "membership", "matrix is singular")
-    pat = pattern_from_preorder(p)
-    return all(pat.allows(v, w) for v, w in g.support())
+    return all(p.le(w, v) for v, w in g.support())
 
 
 def _check_generators(gens: Sequence[RationalMatrix], op: str) -> int:

@@ -327,11 +327,7 @@ def up_sets(p: Preorder) -> list[int]:
 
 def _string_key(mask: int, n: int) -> int:
     """Value of the row mask read as a bit string with column 0 first."""
-    rev = 0
-    for y in range(n):
-        if mask >> y & 1:
-            rev |= 1 << (n - 1 - y)
-    return rev
+    return int(f"{mask:0{n}b}"[::-1], 2)
 
 
 def encode(p: Preorder) -> int:
@@ -489,17 +485,17 @@ def monotone_maps(p: Preorder, q: Preorder) -> list[MonotoneMap]:
 
 
 def check_galois_connection(f: MonotoneMap, g: MonotoneMap) -> bool:
-    """True when f(q) <= p exactly where q <= g(p); f sits in the left-adjoint slot."""
+    """True when f(q) <= p exactly where q <= g(p); f sits in the left-adjoint slot.
+
+    For monotone maps that is the unit q <= g(f(q)) and the counit f(g(p)) <= p.
+    """
     if f.source != g.target or f.target != g.source:
         raise OrdkitError(
             "order-core", "check_galois_connection", "endpoint mismatch between the two maps"
         )
     q_side, p_side = f.source, f.target
-    for q in range(q_side.n):
-        for p in range(p_side.n):
-            if p_side.le(f(q), p) != q_side.le(q, g(p)):
-                return False
-    return True
+    unit = all(q_side.le(q, g(f(q))) for q in range(q_side.n))
+    return unit and all(p_side.le(f(g(p)), p) for p in range(p_side.n))
 
 
 def truncated_chain_map(d: int, fn: Callable[[int], int]) -> MonotoneMap:

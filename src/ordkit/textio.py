@@ -134,9 +134,7 @@ def default_vertex_names(n: int) -> tuple[str, ...]:
     from .digraphs import check_vertex_count
 
     check_vertex_count(n)
-    if n <= 26:
-        return tuple(chr(ord("a") + i) for i in range(n))
-    return tuple(f"p{i}" for i in range(n))
+    return tuple("abcdefghijklmnopqrstuvwxyz"[:n]) if n <= 26 else tuple(f"p{i}" for i in range(n))
 
 
 def parse_preorder(text: str, close: bool = True) -> tuple[Preorder, tuple[str, ...]]:
@@ -306,6 +304,7 @@ def parse_digraph(text: str) -> tuple[Digraph, tuple[str, ...]]:
         Edge(_lookup(index, src, "vertex"), _lookup(index, dst, "vertex"), label or f"e{k}")
         for k, (src, dst, label) in enumerate(raw)
     )
+    _index([e.label for e in edges], "edge label")
     return Digraph(n, edges), tuple(points)
 
 

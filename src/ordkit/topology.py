@@ -92,34 +92,18 @@ def is_t0(t: FiniteTopology) -> bool:
     return classify(to_preorder(t)).partial_order
 
 
-def _generators(t: FiniteTopology) -> tuple[int, ...]:
-    """The opens of ``t``, ascending, that the smaller opens do not generate.
-
-    The union/intersection closure of a family (with the empty and the full
-    set) is the up-set topology of "every member that holds x holds y", so
-    ``rows[x]``, the meet of the members so far that hold x, tells whether
-    an open u is new: it is when some x in u has ``rows[x]`` outside u.
-    """
-    rows = [(1 << t.n) - 1] * t.n
-    out = []
-    for u in t.opens:
-        members = list(_bits(u))
-        if any(rows[x] & ~u for x in members):
-            out.append(u)
-            for x in members:
-                rows[x] &= u
-    return tuple(out)
-
-
 def enumerate_topologies(n: int) -> Iterator[FiniteTopology]:
     """Every topology on n labeled points: the up-set topologies of the preorders.
 
     They come ordered by their generator lists, so a family comes before
-    the families that its generators extend.
+    the families that its generators extend.  An up-set topology is generated
+    by its principal up-sets, so that list is the distinct rows but the full one.
     """
     cap = _env_cap(TOPOLOGY_ENUMERATION_CAP)
     if not 1 <= n <= cap:
         raise OrdkitError(
             "finite-topology", "enumerate_topologies", f"n={n} outside guard 1..{cap}"
         )
-    yield from sorted(map(from_preorder, enumerate_preorders(n)), key=_generators)
+    full = (1 << n) - 1
+    ordered = sorted(enumerate_preorders(n), key=lambda p: sorted(set(p.rows) - {full}))
+    yield from map(from_preorder, ordered)

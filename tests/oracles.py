@@ -6,8 +6,9 @@ can compare the fast versions in ``ordkit`` against it.  The monomial
 grammar's reference is the character-by-character scanner that the
 pattern-based ``textio.parse_monomials`` replaced.  ``classify`` and
 ``bubbles`` scan pairs of points where ``ordkit`` compares rows and
-columns, and ``has_cycle`` is the three-colour depth-first search that
-Kahn's source peeling replaced.
+columns, ``has_cycle`` is the three-colour depth-first search that
+Kahn's source peeling replaced, and ``check_galois_connection`` tests every
+pair of points where ``ordkit`` tests the unit and the counit.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from ordkit.monomials import (
 from ordkit.patterns import RationalMatrix, _check_generators
 from ordkit.relations import (
     BubbleDecomposition,
+    MonotoneMap,
     Preorder,
     PropertyFlags,
     _bits,
@@ -373,6 +375,16 @@ def is_cm_bipartite(g) -> CMWitness | None:
         if classify(order).partial_order:
             return CMWitness(matching, order)
     return None
+
+
+def check_galois_connection(f: MonotoneMap, g: MonotoneMap) -> bool:
+    """The definition itself: f(q) <= p exactly where q <= g(p), over every pair of points."""
+    q_side, p_side = f.source, f.target
+    for q in range(q_side.n):
+        for p in range(p_side.n):
+            if p_side.le(f(q), p) != q_side.le(q, g(p)):
+                return False
+    return True
 
 
 def missing_smaller_map(order: Preorder, listed, depth: int) -> tuple[int, ...] | None:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,8 @@ import pytest
 
 import ordkit
 from ordkit.cli import main
-from ordkit.relations import enumerate_preorders
-from ordkit.textio import default_point_names, parse_document, render_preorder
+from ordkit.relations import Preorder, enumerate_preorders, monotone_maps
+from ordkit.textio import default_point_names, parse_document, parse_preorder, render_preorder
 
 
 def run(capsys, *argv):
@@ -193,6 +194,18 @@ class TestDigraphCommands:
     def test_render_text_round_trips(self, capsys):
         _, out, _ = run(capsys, "digraph", "render", "--input", self.EXAMPLE, "--format", "text")
         assert out.strip() == "n=3; points: a,b,c; edges: a->b:e, a->b:f, b->c:g, a->c:h"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n=2; edges: a->b:e, b->a:e",
+            "n=2; edges: a->b:e1, b->a",  # the written e1 clashes with the default label of edge 1
+            "n=2; edges: a->b, b->a:e0",
+        ],
+    )
+    def test_repeated_edge_label_is_a_grammar_error(self, capsys, text):
+        code, out, err = run(capsys, "digraph", "paths", "--complete", "--input", text)
+        assert (code, out, err) == (2, "", "parse error: duplicate edge label names\n")
 
 
 class TestIdealCommands:
@@ -507,6 +520,23 @@ class TestGraphCommands:
         )
         assert code == 1 and err.startswith("ERR edge-rings.co_letterplace:")
 
+    def test_full_hom_matches_listing_every_monotone_map(self, capsys):
+        # --full-hom builds the letterplace ideal into the chain; --maps checks the listed maps.
+        rng = random.Random(23)
+        cases = []
+        for n in range(1, 6):
+            for depth in range(5):
+                pairs = [(x, y) for x in range(n) for y in range(x + 1, n) if rng.random() < 0.4]
+                cases.append((render_preorder(Preorder.from_pairs(n, pairs)), depth))
+        cases.append(("n=2; pairs: v<=w, w<=v", 1))  # not antisymmetric: both paths refuse it, last
+        for text, depth in cases:
+            p, _ = parse_preorder(text)
+            maps = ";".join(",".join(map(str, f.values)) for f in monotone_maps(p, Preorder.chain(depth + 1)))
+            common = ("graph", "co-letterplace", "--poset", text, "--depth", str(depth))
+            full = run(capsys, *common, "--full-hom")
+            assert full == run(capsys, *common, "--maps", maps), (text, depth)
+        assert full == (1, "", "ERR edge-rings.co_letterplace: preorder is not antisymmetric\n")
+
     @pytest.mark.parametrize("source", [("--full-hom",), ("--maps", "0,1;0,0")])
     def test_co_letterplace_negative_depth_is_usage_error(self, capsys, source):
         code, out, err = run(capsys, "graph", "co-letterplace", "--poset", "n=2", *source, "--depth", "-1")
@@ -676,6 +706,19 @@ class TestContract:
             )
             assert (proc.returncode, proc.stdout) == (1, "")
             assert proc.stderr == "ERR order-core.relation: point count 100000001 outside 1..16\n"
+
+    @pytest.mark.parametrize("module", ["ordkit", "ordkit.cli"])
+    @pytest.mark.parametrize("argv", [("preorder", "classify", "--input", "n=2"), ("preorder", "classify", "--input", "n=x")])
+    def test_python_dash_m_runs_the_cli(self, capsys, module, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env={**os.environ, "PYTHONPATH": str(Path(ordkit.__file__).parents[1])},
+        )
+        code, out, _ = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout) == (code, out) and code in (0, 2)
 
     def test_file_input_source(self, capsys, tmp_path):
         f = tmp_path / "p.txt"

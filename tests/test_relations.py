@@ -435,6 +435,20 @@ class TestGaloisConnection:
         with pytest.raises(OrdkitError, match="endpoint"):
             check_galois_connection(f, g)
 
+    def test_unit_and_counit_agree_with_the_pairwise_definition(self, classes):
+        # Every pair of monotone maps f: Q -> P, g: P -> Q, non-antisymmetric preorders included.
+        pool = [p for n in (1, 2) for p in enumerate_preorders(n)] + list(classes.values())
+        verdicts = set()
+        for q in pool:
+            for p in pool:
+                backward = monotone_maps(p, q)
+                for f in monotone_maps(q, p):
+                    for g in backward:
+                        verdict = check_galois_connection(f, g)
+                        assert verdict == oracles.check_galois_connection(f, g), (f, g)
+                        verdicts.add(verdict)
+        assert verdicts == {True, False}
+
 
 class TestAntichains:
     def test_two_chain_has_three(self):
