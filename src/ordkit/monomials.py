@@ -302,8 +302,10 @@ def upset_to_ss(chains: Iterable[Sequence[int]], nvars: int) -> MonomialIdeal:
             raise OrdkitError(
                 "monomial-ideals", "upset_to_ss", f"chain {u} has wrong length for {nvars} variables"
             )
-        if any(e < 0 for e in u) or any(a > b for a, b in zip(u, u[1:])):
+        if any(a > b for a, b in zip(u, u[1:])):
             raise OrdkitError("monomial-ideals", "upset_to_ss", f"chain {u} is not weakly increasing")
+        if any(e < 0 for e in u):
+            raise OrdkitError("monomial-ideals", "upset_to_ss", f"chain {u} has a negative entry")
     if not pts or not nvars:  # no variables: () is the monomial 1
         return minimalize(nvars, pts)
     bound = sum(math.comb(u[-1] - u[0] + nvars - 1, nvars - 1) for u in pts)

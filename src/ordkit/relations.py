@@ -350,33 +350,29 @@ def decode(n: int, code: int) -> Preorder:
 def enumerate_preorders(n: int) -> Iterator[Preorder]:
     """Every preorder on n labeled points, ascending in the packed encoding.
 
-    Rows are assigned in order, each drawn from its candidates in ascending
-    string order, and a candidate is rejected as soon as it breaks
-    transitivity against an assigned row.
+    One ``_assignments`` walk over keys, v for the row ``_string_key(v, n)``:
+    point k takes rows that hold k, lie inside each picked row holding k,
+    and contain the row of each picked y they hold.
     """
     cap = _env_cap(ENUMERATION_CAP)
     if not 1 <= n <= cap:
         raise OrdkitError("order-core", "enumerate_preorders", f"n={n} outside guard 1..{cap}")
-    choices = [
-        sorted((m for m in range(1 << n) if m >> x & 1), key=lambda m: _string_key(m, n))
-        for x in range(n)
-    ]
-    rows = [0] * n
+    rows = [_string_key(v, n) for v in range(1 << n)]
+    holds = [sum(1 << v for v, row in enumerate(rows) if row >> k & 1) for k in range(n)]
+    inside = [sum(1 << v for v, row in enumerate(rows) if row & ~r == 0) for r in rows]
+    around = _transpose(inside)
 
-    def extend(k: int) -> Iterator[Preorder]:
-        if k == n:
-            yield Preorder._trusted(n, tuple(rows))
-            return
-        above = [rows[x] for x in range(k) if rows[x] >> k & 1]
-        for r in choices[k]:
-            if any(r & ~row for row in above):
-                continue
-            if any(rows[y] & ~r for y in _bits(r & ((1 << k) - 1))):
-                continue
-            rows[k] = r
-            yield from extend(k + 1)
+    def allowed(keys: list[int]) -> int:
+        k = len(keys)
+        mask = holds[k]
+        for y, v in enumerate(keys):
+            if rows[v] >> k & 1:
+                mask &= inside[v]
+            mask &= around[v] | ~holds[y]
+        return mask
 
-    yield from extend(0)
+    for keys in _assignments(n, allowed):
+        yield Preorder._trusted(n, tuple(rows[v] for v in keys))
 
 
 def relabel(p: Preorder, perm: Sequence[int]) -> Preorder:

@@ -12,6 +12,7 @@ from typing import Iterable, Iterator
 
 from .errors import OrdkitError
 from .relations import (
+    MAX_POINTS,
     Preorder,
     Record,
     _bits,
@@ -42,7 +43,13 @@ class FiniteTopology(Record):
 
 
 def validate(family: Iterable[int], n: int) -> FiniteTopology:
-    """Check the three topology axioms, reporting the first violated one."""
+    """Check the three topology axioms, reporting the first violated one.
+
+    Every open is an up-set of the specialization preorder (``to_preorder``),
+    so the family is a topology exactly when it holds all of that preorder's
+    up-sets.  Otherwise, or above ``MAX_POINTS``, where ``up_sets`` could list
+    2^n sets, the pairwise scan decides and names the first witness pair.
+    """
     opens = sorted(set(family))
     full = (1 << n) - 1
     if any(mask & ~full for mask in opens):
@@ -51,6 +58,9 @@ def validate(family: Iterable[int], n: int) -> FiniteTopology:
         raise OrdkitError("finite-topology", "validate", "missing empty set")
     if full not in opens:
         raise OrdkitError("finite-topology", "validate", "missing full set")
+    t = FiniteTopology(n, tuple(opens))
+    if n <= MAX_POINTS and len(up_sets(to_preorder(t))) == len(opens):
+        return t
     members = set(opens)
     for word, op in (("intersection", and_), ("union", or_)):
         for i, u in enumerate(opens):
@@ -61,7 +71,7 @@ def validate(family: Iterable[int], n: int) -> FiniteTopology:
                         "validate",
                         f"not closed under {word}: witness pair {_set_text(u)}, {_set_text(v)}",
                     )
-    return FiniteTopology(n, tuple(opens))
+    return t
 
 
 def from_preorder(p: Preorder) -> FiniteTopology:

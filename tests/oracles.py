@@ -7,14 +7,17 @@ grammar's reference is the character-by-character scanner that the
 pattern-based ``textio.parse_monomials`` replaced.  ``classify`` and
 ``bubbles`` scan pairs of points where ``ordkit`` compares rows and
 columns, ``has_cycle`` is the three-colour depth-first search that
-Kahn's source peeling replaced, and ``check_galois_connection`` tests every
-pair of points where ``ordkit`` tests the unit and the counit.
+Kahn's source peeling replaced, ``check_galois_connection`` tests every
+pair of points where ``ordkit`` tests the unit and the counit, and
+``validate`` closes every pair of opens where ``ordkit`` counts the up-sets
+of the specialization preorder.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from operator import and_, or_
 from typing import Iterator, Sequence
 
 from ordkit import monomials
@@ -41,7 +44,7 @@ from ordkit.relations import (
     _string_key,
 )
 from ordkit.textio import _NAME, ParseError
-from ordkit.topology import FiniteTopology, to_preorder
+from ordkit.topology import FiniteTopology, _set_text, to_preorder
 
 
 def _transitive(rows: Sequence[int]) -> bool:
@@ -176,6 +179,29 @@ def enumerate_topologies(n: int) -> Iterator[FiniteTopology]:
     yield from grow(base, 0)
 
 
+def validate(family, n: int) -> FiniteTopology:
+    """Check the three topology axioms by closing every pair of opens, reporting the first violated one."""
+    opens = sorted(set(family))
+    full = (1 << n) - 1
+    if any(mask & ~full for mask in opens):
+        raise OrdkitError("finite-topology", "validate", f"subset mask outside {n}-point carrier")
+    if 0 not in opens:
+        raise OrdkitError("finite-topology", "validate", "missing empty set")
+    if full not in opens:
+        raise OrdkitError("finite-topology", "validate", "missing full set")
+    members = set(opens)
+    for word, op in (("intersection", and_), ("union", or_)):
+        for i, u in enumerate(opens):
+            for v in opens[i + 1 :]:
+                if op(u, v) not in members:
+                    raise OrdkitError(
+                        "finite-topology",
+                        "validate",
+                        f"not closed under {word}: witness pair {_set_text(u)}, {_set_text(v)}",
+                    )
+    return FiniteTopology(n, tuple(opens))
+
+
 def orbit(p: Preorder) -> set[int]:
     """Packed encodings of all n! relabelings.
 
@@ -213,8 +239,10 @@ def upset_to_ss(chains, nvars: int) -> MonomialIdeal:
             raise OrdkitError(
                 "monomial-ideals", "upset_to_ss", f"chain {u} has wrong length for {nvars} variables"
             )
-        if any(e < 0 for e in u) or any(a > b for a, b in zip(u, u[1:])):
+        if any(a > b for a, b in zip(u, u[1:])):
             raise OrdkitError("monomial-ideals", "upset_to_ss", f"chain {u} is not weakly increasing")
+        if any(e < 0 for e in u):
+            raise OrdkitError("monomial-ideals", "upset_to_ss", f"chain {u} has a negative entry")
         pts.append(u)
     if not pts:
         return MonomialIdeal(nvars, ())

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -255,6 +256,13 @@ class TestIdealCommands:
     def test_from_upset_negative_nvars_is_usage_error(self, capsys, chains):
         code, out, err = run(capsys, "ideal", "from-upset", "--chains", chains, "--nvars", "-1")
         assert (code, out, err) == (2, "", "parse error: nvars must be a natural number\n")
+
+    @pytest.mark.parametrize(
+        "chains, fault", [("-1,2", "(-1, 2) has a negative entry"), ("2,1", "(2, 1) is not weakly increasing")]
+    )
+    def test_from_upset_names_the_chain_fault(self, capsys, chains, fault):
+        code, out, err = run(capsys, "ideal", "from-upset", f"--chains={chains}")
+        assert (code, out, err) == (1, "", f"ERR monomial-ideals.upset_to_ss: chain {fault}\n")
 
     def test_from_upset_skips_empty_variable_entries(self, capsys):
         _, out, _ = run(capsys, "ideal", "from-upset", "--chains", "0,1", "--vars", " x,, y ")
@@ -754,3 +762,31 @@ class TestSelftest:
         first = run(capsys, "selftest", "--seed", "3")
         second = run(capsys, "selftest", "--seed", "3")
         assert first == second
+
+
+def _readme_cli_examples():
+    """Each ``ordkit ...`` or ``python -m ordkit ...`` line of the README's CLI block, as
+    the argv after the program and its trailing comment."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("  #")
+        argv = shlex.split(command)
+        if argv[:1] == ["ordkit"]:
+            examples.append((argv[1:], comment.strip()))
+        elif argv[:3] == ["python", "-m", "ordkit"]:
+            examples.append((argv[3:], comment.strip()))
+    return examples
+
+
+class TestReadmeExamples:
+    def test_the_cli_block_lists_examples(self):
+        assert len(_readme_cli_examples()) >= 15
+
+    @pytest.mark.parametrize("argv, comment", _readme_cli_examples())
+    def test_example_runs(self, capsys, argv, comment):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        if comment.isdigit():
+            assert out == f"{comment}\n"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordkit import relations
 from ordkit.errors import OrdkitError
 from ordkit.relations import (
     MonotoneMap,
@@ -298,6 +299,12 @@ class TestEnumeration:
     def test_stream_matches_product_filter_oracle(self):
         for n in range(1, 6):
             assert list(enumerate_preorders(n)) == list(oracles.enumerate_preorders(n))
+
+    def test_six_point_stream_has_the_a000798_count_in_ascending_codes(self, monkeypatch):
+        monkeypatch.setattr(relations, "ENUMERATION_CAP", 6)
+        codes = [encode(p) for p in enumerate_preorders(6)]
+        assert len(codes) == 209_527
+        assert all(a < b for a, b in zip(codes, codes[1:]))
 
 
 class TestCanonicalForm:

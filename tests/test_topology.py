@@ -1,10 +1,12 @@
 import itertools
+import random
+import time
 
 import pytest
 
 from ordkit import topology
 from ordkit.errors import OrdkitError
-from ordkit.relations import Preorder, classify, enumerate_preorders, refines
+from ordkit.relations import Preorder, classify, enumerate_preorders, refines, up_sets
 from ordkit.topology import (
     enumerate_topologies,
     from_preorder,
@@ -65,6 +67,70 @@ class TestValidate:
         for n in (0, 2):
             with pytest.raises(OrdkitError, match=f"subset mask outside {n}-point carrier"):
                 validate([-1, 0, (1 << n) - 1], n)
+
+
+def _verdict(check, family, n):
+    try:
+        return check(family, n)
+    except OrdkitError as err:
+        return str(err)
+
+
+def _seeded_families(count, seed=24):
+    """Random masks on 1..5 points, each family sometimes missing the empty or full set,
+    and the up-sets of random preorders with one mask dropped or added."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        full = (1 << n) - 1
+        if rng.random() < 0.5:
+            family = {rng.randrange(full + 1) for _ in range(rng.randint(0, 2 * n))}
+            family |= {mask for mask in (0, full) if rng.random() < 0.9}
+        else:
+            p = Preorder.from_pairs(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))])
+            family = set(up_sets(p))
+            family ^= {rng.randrange(full + 1)} if rng.random() < 0.7 else set()
+        yield sorted(family, key=lambda _: rng.random()), n
+
+
+class TestValidateAgainstPairwiseScan:
+    def test_seeded_families_give_the_same_verdict_and_message(self):
+        verdicts = [
+            (_verdict(validate, family, n), _verdict(oracles.validate, family, n))
+            for family, n in _seeded_families(3000)
+        ]
+        assert all(ours == theirs for ours, theirs in verdicts)
+        assert sum(isinstance(ours, str) for ours, _ in verdicts) > 1000
+        assert sum(not isinstance(ours, str) for ours, _ in verdicts) > 1000
+
+    def test_every_up_set_family_on_up_to_four_points_is_accepted(self):
+        for n in range(1, 5):
+            for p in enumerate_preorders(n):
+                opens = up_sets(p)
+                assert validate(opens, n) == oracles.validate(opens, n) == from_preorder(p)
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [
+            ([0], 0),
+            ([0, 1], 1),
+            ([0], 1),
+            ([0, (1 << 17) - 1], 17),
+            ([0, 1, (1 << 17) - 1], 17),
+            ([0, 1, 2, (1 << 18) - 1], 18),
+            ([0, 1, 2, 3, (1 << 18) - 1], 18),
+            ([0, 3, 5, (1 << 20) - 1], 20),
+            ([0, 1 << 19, (1 << 20) - 1, 1 << 20], 20),
+        ],
+    )
+    def test_edge_cases_on_zero_one_and_many_points(self, family, n):
+        assert _verdict(validate, family, n) == _verdict(oracles.validate, family, n)
+
+    def test_all_subsets_of_sixteen_points_validate_in_under_two_seconds(self):
+        start = time.perf_counter()
+        t = validate(range(1 << 16), 16)
+        assert time.perf_counter() - start < 2.0
+        assert len(t.opens) == 1 << 16 and is_t0(t)
 
 
 class TestFromPreorder:
