@@ -12,40 +12,6 @@ from operator import itemgetter
 BATCH_CHARS = 1 << 14
 
 
-def _scalar(o) -> str:
-    return repr(o) if o.__class__ is int else quote(o)
-
-
-def _template(row, indent: str):
-    """A filler of rows like ``row`` (a string, int, list of strings or dict of these), or None.
-
-    The filler gives the text of a row whose inner lines start with
-    ``indent + "  "``, and raises ``TypeError`` or ``KeyError`` on a row of
-    another shape.  A dict's keys are sorted and quoted once into a ``%``
-    template.
-    """
-    inner = indent + "  "
-    if row.__class__ is list and all(isinstance(s, str) for s in row):
-        head, comma, tail = "[" + inner, "," + inner, indent + "]"
-        return lambda o: head + comma.join(map(quote, o)) + tail if list.__len__(o) else "[]"
-    if row.__class__ is not dict or not row:
-        return quote if isinstance(row, str) else _scalar if row.__class__ is int else None
-    keys = sorted(row)
-    fills = [_template(row[k], inner) for k in keys]
-    text = "{" + inner + ("," + inner).join(quote(k).replace("%", "%%") + ": %s" for k in keys) + indent + "}"
-    plain = fills.count(quote) == len(keys)
-    # itemgetter of a single key returns the bare value, not a 1-tuple
-    get = itemgetter(*keys) if len(keys) > 1 else lambda o: (o[keys[0]],)
-
-    def fill(o) -> str:
-        if o.__class__ is not dict or len(o) != len(keys):
-            raise TypeError
-        values = get(o)
-        return text % tuple(map(quote, values) if plain else [f(v) for f, v in zip(fills, values)])
-
-    return None if None in fills else fill
-
-
 def write_json(doc, write) -> None:
     """Pass ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` to ``write`` in batches.
 
@@ -53,9 +19,11 @@ def write_json(doc, write) -> None:
     ``json.dumps`` itself, so the bytes match; dict keys must be strings.  Any
     iterator is written as an array, so rows may come from a generator and
     are rendered only as they are written: memory holds one batch of about
-    ``BATCH_CHARS`` characters, never the whole text or answer.  An array's
-    first row gives a filler for the later rows of its shape; any other row
-    takes the key-by-key path.
+    ``BATCH_CHARS`` characters, never the whole text or answer.  A function
+    is an array too: called with the indent that starts each row (a newline
+    and spaces), it yields the finished text of each row, whose inner lines
+    start with that indent and two spaces more.  A big listing renders its
+    own rows that way, from pieces it quoted once.
     """
     parts: list[str] = []
     append = parts.append
@@ -75,18 +43,13 @@ def write_json(doc, write) -> None:
                 value(v, sep + quote(k) + ": ", inner)
                 sep = comma
             text = indent + "}" if sep is comma else lead + "{}"
-        elif isinstance(o, (list, tuple, Iterator)):
+        elif isinstance(o, (list, tuple, Iterator)) or callable(o):
             inner = indent + "  "
             comma, sep = "," + inner, lead + "[" + inner
-            fill = None  # built from the first row; False when that row has no template shape
-            for item in o:
-                if fill is None:
-                    fill = _template(item, inner) or False
-                try:
-                    text = fill and sep + fill(item)
-                except (TypeError, KeyError):
-                    text = ""
-                if text:
+            texts = callable(o)
+            for item in o(inner) if texts else o:
+                if texts:
+                    text = sep + item
                     size += len(text)
                     append(text)
                 else:
@@ -105,3 +68,49 @@ def write_json(doc, write) -> None:
     value(doc, "", "\n")
     append("\n")
     write("".join(parts))
+
+
+def mask_rows(masks, names):
+    """A row function (see ``write_json``) listing the names of each mask's bits, ascending.
+
+    Per byte of the masks, a table holds the quoted names of every byte value
+    already joined, each name led by the row separator, so a row is one
+    lookup per byte.
+    """
+
+    def rows(indent: str) -> Iterator[str]:
+        comma = "," + indent + "  "
+        tables = []
+        for low in range(0, len(names), 8):
+            table = [""]
+            for name in names[low : low + 8]:  # the new bit is the highest yet, so its name goes last
+                piece = comma + quote(name)
+                table += [text + piece for text in table]
+            tables.append((low, table))
+        tail = indent + "]"
+        for mask in masks:
+            text = "".join([table[mask >> low & 255] for low, table in tables])
+            yield "[" + text[1:] + tail if text else "[]"
+
+    return rows
+
+
+def map_rows(maps, names):
+    """A row function (see ``write_json``) writing each index tuple t as ``{names[i]: names[t[i]]}``.
+
+    The keys are sorted and quoted once into a ``%`` template, so a row is
+    one fill.
+    """
+    if len(names) < 2:  # itemgetter of one index returns a bare value, not a tuple
+        return [{names[i]: names[j] for i, j in enumerate(t)} for t in maps]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    quoted = [quote(name) for name in names]
+
+    def rows(indent: str) -> Iterator[str]:
+        inner, pick = indent + "  ", itemgetter(*order)
+        keys = [quoted[i].replace("%", "%%") + ": %s" for i in order]
+        text = "{" + inner + ("," + inner).join(keys) + indent + "}"
+        for t in maps:
+            yield text % itemgetter(*pick(t))(quoted)
+
+    return rows

@@ -37,11 +37,13 @@ def _preorder_doc(p: Preorder, names: Sequence[str]) -> dict:
 
 
 def _topology_doc(t, names: Sequence[str]) -> dict:
+    from ._jsonwriter import mask_rows
+
     return {
         "kind": "topology",
         "n": t.n,
         "points": list(names),
-        "opens": [[names[x] for x in relations._bits(mask)] for mask in t.opens],
+        "opens": mask_rows(t.opens, names),
         "text": textio.render_topology(t, names),
     }
 
@@ -50,8 +52,8 @@ def _ideal_doc(ideal: edgerings.NamedIdeal) -> dict:
     return {
         "kind": "ideal",
         "vars": list(ideal.ground),
-        "generators": [textio.render_monomial(g, ideal.ground) for g in ideal.ideal.gens],
-        "exponents": [list(g) for g in ideal.ideal.gens],
+        "generators": (textio.render_monomial(g, ideal.ground) for g in ideal.ideal.gens),
+        "exponents": ideal.ideal.gens,
         "text": textio.render_ideal(ideal),
     }
 
@@ -155,15 +157,11 @@ def _cmd_preorder_bubbles(args) -> int:
 
 
 def _cmd_preorder_upsets(args) -> int:
+    from ._jsonwriter import mask_rows
+
     p, names = _preorder_from(args)
     masks = relations.up_sets(p)
-    return _emit(
-        {
-            "kind": "up-sets",
-            "count": len(masks),
-            "opens": ([names[x] for x in relations._bits(mask)] for mask in masks),
-        }
-    )
+    return _emit({"kind": "up-sets", "count": len(masks), "opens": mask_rows(masks, names)})
 
 
 def _cmd_preorder_hasse(args) -> int:
@@ -202,21 +200,6 @@ def _cmd_topology_t0(args) -> int:
 # ---------------------------------------------------------------- digraph
 
 
-def _path_doc(path, names: Sequence[str]) -> dict:
-    labels = [e.label for e in path.edges]
-    return {
-        "start": names[path.start],
-        "end": names[path.end],
-        "labels": labels,
-        "word": "".join(labels) if labels else f"1_{names[path.start]}",
-    }
-
-
-def _paths_doc(kind: str, count: int, found, names: Sequence[str]) -> dict:
-    """A path listing whose count is known before its rows stream."""
-    return {"kind": kind, "count": count, "paths": (_path_doc(p, names) for p in found)}
-
-
 def _cmd_digraph_paths(args) -> int:
     q, names = textio.parse_digraph(_read_source(args))
     if args.complete:
@@ -226,7 +209,7 @@ def _cmd_digraph_paths(args) -> int:
     else:
         limit = args.max_length
     count = digraphs.count_paths(q, limit)
-    return _emit(_paths_doc("paths", count, digraphs.iter_paths(q, limit), names))
+    return _emit({"kind": "paths", "count": count, "paths": digraphs.path_rows(q, names, limit)})
 
 
 def _cmd_digraph_homs(args) -> int:
@@ -235,8 +218,8 @@ def _cmd_digraph_homs(args) -> int:
     source = textio._lookup(index, args.source, "vertex")
     target = textio._lookup(index, args.target, "vertex")
     count = digraphs.count_hom_paths(q, source, target, args.max_length)
-    found = digraphs.iter_hom_paths(q, source, target, args.max_length)
-    return _emit(_paths_doc("hom-paths", count, found, names))
+    rows = digraphs.path_rows(q, names, args.max_length, source, target)
+    return _emit({"kind": "hom-paths", "count": count, "paths": rows})
 
 
 def _cmd_digraph_preorder(args) -> int:
@@ -284,12 +267,12 @@ def _cmd_ideal_most_degenerate(args) -> int:
 
 
 def _cmd_ideal_stabilizer(args) -> int:
+    from ._jsonwriter import map_rows
+
     ideal = _named_ideal_from(args.gens, edgerings.NamedIdeal)
     count = monomials.stabilizer_order(ideal.ideal)
-    ground = ideal.ground
-    perms = monomials.iter_stabilizer(ideal.ideal)
-    rendered = ({ground[i]: ground[j] for i, j in enumerate(perm)} for perm in perms)
-    return _emit({"kind": "stabilizer", "count": count, "permutations": rendered})
+    rows = map_rows(monomials.iter_stabilizer(ideal.ideal), ideal.ground)
+    return _emit({"kind": "stabilizer", "count": count, "permutations": rows})
 
 
 def _cmd_ideal_to_upset(args) -> int:

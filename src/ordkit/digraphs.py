@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import OrdkitError
 from .relations import Preorder, Record, Relation, check_point_count, closure
@@ -148,25 +148,30 @@ def _limit(q: Digraph, limit: int | None) -> int:
     return limit
 
 
-def _walk(q: Digraph, limit: int, source: int | None = None, target: int | None = None) -> Iterator[Path]:
+def _walk(
+    q: Digraph, limit: int, source: int | None = None, target: int | None = None, carry=None
+) -> Iterator[tuple[int, int, tuple]]:
     """The paths within ``limit`` edges, from ``source`` and to ``target`` where given.
 
     Listed length by length, and each length in lexicographic order of its
     start and its edges, by a depth-first search that holds one iterator
     per edge of the current path.  An edge is taken only when its head
     still has a path of exactly the edges left, by the ``_ways`` rows.
+    Each path comes as ``(start, end, edges)``, with each edge carried as
+    ``carry(edge)``, or as the ``Edge`` itself when ``carry`` is None.
     """
     alive = [bytearray(map(row.__contains__, range(q.n))) for row in _ways(q, limit, source, target)]
     out = _out_edges(q)
-    trusted = Path._trusted  # every path found is valid by construction
+    if carry is not None:
+        out = [[(carry(e), w) for e, w in row] for row in out]
     for length, reach in enumerate(alive):
         for start in range(q.n) if source is None else (source,):
             if not reach[start]:
                 continue
             if not length:
-                yield trusted(start, ())
+                yield start, start, ()
                 continue
-            edges: list[Edge] = []
+            edges: list = []
             stack = [iter(out[start])]  # stack[d] picks edges[d]
             while stack:
                 depth = len(stack) - 1
@@ -175,7 +180,7 @@ def _walk(q: Digraph, limit: int, source: int | None = None, target: int | None 
                 if depth + 1 == length:
                     for e, w in stack.pop():
                         if row[w]:
-                            yield trusted(start, (*edges, e))
+                            yield start, w, (*edges, e)
                     continue
                 for e, w in stack[-1]:
                     if row[w]:
@@ -184,6 +189,34 @@ def _walk(q: Digraph, limit: int, source: int | None = None, target: int | None 
                         break
                 else:
                     stack.pop()
+
+
+def path_rows(
+    q: Digraph, names: Sequence[str], limit: int | None, source: int | None = None, target: int | None = None
+):
+    """``iter_hom_paths`` as the CLI's rows ``{"end", "labels", "start", "word"}``, in a row function.
+
+    A row function is what ``_jsonwriter.write_json`` takes for an array.
+    ``_walk`` carries each edge as its label quoted for JSON, less the
+    quotes, so a row is two joins and one ``%`` fill.
+    """
+    from ._jsonwriter import quote
+
+    limit = _limit(q, limit)
+    quoted = [quote(name) for name in names]
+
+    def rows(indent: str) -> Iterator[str]:
+        inner, deeper = indent + "  ", indent + "    "
+        head, tail = f'{{{inner}"end": %s,{inner}"labels": ', f',{inner}"start": %s,{inner}"word": '
+        full, empty = f'{head}[{deeper}"%s"{inner}]{tail}"%s"{indent}}}', f"{head}[]{tail}%s{indent}}}"
+        comma = f'",{deeper}"'
+        for start, end, edges in _walk(q, limit, source, target, lambda e: quote(e.label)[1:-1]):
+            if edges:
+                yield full % (quoted[end], comma.join(edges), quoted[start], "".join(edges))
+            else:
+                yield empty % (quoted[start], quoted[start], quote(f"1_{names[start]}"))
+
+    return rows
 
 
 def count_paths(q: Digraph, limit: int | None = None) -> int:
@@ -198,7 +231,8 @@ def iter_paths(q: Digraph, limit: int | None = None) -> Iterator[Path]:
     and so on; paths of one length are in lexicographic order of their
     start and their edges.
     """
-    yield from _walk(q, _limit(q, limit))
+    # every path found is valid by construction
+    yield from (Path._trusted(start, edges) for start, _, edges in _walk(q, _limit(q, limit)))
 
 
 def paths_up_to_length(q: Digraph, limit: int) -> list[Path]:
@@ -226,7 +260,7 @@ def iter_hom_paths(q: Digraph, a: int, b: int, limit: int | None = None) -> Iter
     """
     limit = _limit(q, limit)
     if 0 <= a < q.n and 0 <= b < q.n:
-        yield from _walk(q, limit, a, b)
+        yield from (Path._trusted(start, edges) for start, _, edges in _walk(q, limit, a, b))
 
 
 def hom_paths(q: Digraph, a: int, b: int, limit: int | None = None) -> list[Path]:

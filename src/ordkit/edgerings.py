@@ -20,9 +20,9 @@ from .relations import (
     Record,
     _assignments,
     _bits,
+    _monotone_values,
     _transpose,
     classify,
-    monotone_maps,
     up_sets,
 )
 
@@ -281,7 +281,7 @@ def letterplace(
     q_names = tuple(q_names) if q_names is not None else tuple(f"q{j}" for j in range(q.n))
     if len(p_names) != p.n or len(q_names) != q.n:
         raise OrdkitError("edge-rings", "letterplace", "one name per point required")
-    return _graph_ideal(p_names, q_names, (f.values for f in monotone_maps(p, q)))
+    return _graph_ideal(p_names, q_names, _monotone_values(p, q))
 
 
 def co_letterplace(

@@ -24,7 +24,7 @@ from .errors import OrdkitError
 from .relations import (
     Preorder,
     Record,
-    _assignments,
+    _bits,
     check_point_count,
     classify,
 )
@@ -177,15 +177,19 @@ def _stabilizer_search(ideal: MonomialIdeal):
     """Check the variable count, then return the pruned search of the stabilizer.
 
     ``search(fixed)`` yields, ascending lexicographically, the variable
-    permutations that fix the ideal and send x0, x1, ... to ``fixed``.  It is
-    ``_assignments`` over the images of x0, x1, ...: variable i may go to j
-    only when the exponent pairs (g[i], g[k]) over the generators form the
-    same multiset as (g[j], g[perm[k]]) for every k < i.  Interned as pair
-    kinds, those cuts are ANDs of bit masks over j; the one for k = 0 already
-    gives x_i and x_j the same exponent multiset.  A full assignment that
-    passes them gets the exact test, that the permuted generators are the
-    generators, unless no generator involves more than two variables: then
-    the pair multisets already determine the generators.
+    permutations that fix the ideal and send x0, x1, ... to ``fixed``.  It
+    picks the images of x0, x1, ... depth first: variable i may go to j only
+    when the exponent pairs (g[i], g[k]) over the generators form the same
+    multiset as (g[j], g[perm[k]]) for every k < i.  Interned as pair kinds,
+    those cuts are ANDs of bit masks over j, kept for every open position;
+    the one for k = 0 already gives x_i and x_j the same exponent multiset.
+    When each open position allows exactly the unused variables, and all the
+    pairs among those positions and variables are of one kind, every
+    arrangement of the unused variables passes the cuts: the subtree is
+    ``itertools.permutations`` of them.  A full assignment gets the exact
+    test, that the permuted generators are the generators, unless no
+    generator involves more than two variables: then the pair multisets
+    already determine the generators.
     """
     n = ideal.nvars
     if n > STABILIZER_CAP:
@@ -208,25 +212,27 @@ def _stabilizer_search(ideal: MonomialIdeal):
     gens = set(ideal.gens)
     everyone = (1 << n) - 1
 
+    def grow(prefix: tuple[int, ...], masks: tuple[int, ...], free: int) -> Iterator[tuple[int, ...]]:
+        """The permutations below ``prefix``; ``masks`` allows the values at the open positions."""
+        i = len(prefix)
+        if masks.count(free) == len(masks):
+            inside = list(_bits(free | everyone >> i << i))
+            if len({pair[a][b] for a in inside for b in inside if a != b}) < 2:
+                for tail in itertools.permutations(_bits(free)):
+                    perm = prefix + tail
+                    # itemgetter(*perm) applies the inverse permutation, which fixes the
+                    # generators exactly when perm does; a generator in three variables
+                    # means n >= 3, so it returns tuples.
+                    if not exact or gens.issuperset(map(itemgetter(*perm), ideal.gens)):
+                        yield perm
+                return
+        for v in _bits(masks[0]):
+            rest = tuple(m & like[v][pair[r][i]] for r, m in enumerate(masks[1:], i + 1))
+            if 0 not in rest:
+                yield from grow(prefix + (v,), rest, free ^ 1 << v)
+
     def search(fixed: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
-        if n == 0:
-            yield ()
-            return
-
-        def allowed(prefix: list[int]) -> int:
-            i = len(prefix)
-            row = pair[i]
-            mask = 1 << fixed[i] if i < len(fixed) else everyone
-            for v, t in zip(prefix, row):
-                mask &= like[v][t]
-            return mask
-
-        for perm in _assignments(n, allowed):
-            # itemgetter(*perm) applies the inverse permutation, which fixes the
-            # generators exactly when perm does; a generator in three variables
-            # means n >= 3, so it returns tuples.
-            if not exact or gens.issuperset(map(itemgetter(*perm), ideal.gens)):
-                yield perm
+        return grow((), tuple(1 << j for j in fixed) + (everyone,) * (n - len(fixed)), everyone)
 
     return search
 
@@ -252,7 +258,11 @@ def stabilizer_order(ideal: MonomialIdeal) -> int:
 
 
 def iter_stabilizer(ideal: MonomialIdeal) -> Iterator[tuple[int, ...]]:
-    """All variable permutations fixing the ideal, ascending lexicographically."""
+    """All variable permutations fixing the ideal, ascending lexicographically.
+
+    They stream from the pruned search, which lists a subtree whose open
+    variables are all alike as the permutations of the unused images.
+    """
     yield from _stabilizer_search(ideal)()
 
 

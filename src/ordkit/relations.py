@@ -21,12 +21,9 @@ CANONICAL_CAP = 8
 
 def _env_cap(stated: int) -> int:
     """Enumeration guard, lowered (never raised) by ORDKIT_MAX_N."""
-    raw = os.environ.get("ORDKIT_MAX_N")
-    if raw is None:
-        return stated
     try:
-        return min(stated, int(raw))
-    except ValueError:
+        return min(stated, int(os.environ["ORDKIT_MAX_N"]))
+    except (KeyError, ValueError):
         return stated
 
 
@@ -208,15 +205,13 @@ class Preorder(Relation):
     @classmethod
     def coarse(cls, n: int) -> "Preorder":
         check_point_count(n)
-        full = (1 << n) - 1
-        return cls(n, (full,) * n)
+        return cls(n, ((1 << n) - 1,) * n)
 
     @classmethod
     def chain(cls, n: int) -> "Preorder":
         """Ascending chain 0 <= 1 <= ... <= n-1."""
         check_point_count(n)
-        full = (1 << n) - 1
-        return cls(n, tuple((full >> x) << x for x in range(n)))
+        return cls(n, tuple((1 << n) - (1 << x) for x in range(n)))
 
 
 class PropertyFlags(Record):
@@ -340,11 +335,7 @@ def encode(p: Preorder) -> int:
 
 def decode(n: int, code: int) -> Preorder:
     mask = (1 << n) - 1
-    keys = []
-    for _ in range(n):
-        keys.append(code & mask)
-        code >>= n
-    return Preorder(n, tuple(_string_key(k, n) for k in reversed(keys)))
+    return Preorder(n, tuple(_string_key(code >> n * (n - 1 - x) & mask, n) for x in range(n)))
 
 
 def enumerate_preorders(n: int) -> Iterator[Preorder]:
@@ -456,8 +447,8 @@ def are_isomorphic(p: Preorder, q: Preorder) -> bool:
     return p.n == q.n and canonical_form(p) == canonical_form(q)
 
 
-def monotone_maps(p: Preorder, q: Preorder) -> list[MonotoneMap]:
-    """All order preserving maps p -> q, lexicographic in the value tuples.
+def _monotone_values(p: Preorder, q: Preorder) -> Iterator[tuple[int, ...]]:
+    """The value tuples of the order preserving maps p -> q, lexicographic.
 
     The values allowed at x are the AND of the down-set rows of the values at
     the assigned points above x and the up-set rows of those below it.
@@ -476,8 +467,12 @@ def monotone_maps(p: Preorder, q: Preorder) -> list[MonotoneMap]:
             mask &= up[values[y]]
         return mask
 
-    trusted = MonotoneMap._trusted
-    return [trusted(p, q, values) for values in _assignments(p.n, allowed)]
+    return _assignments(p.n, allowed)
+
+
+def monotone_maps(p: Preorder, q: Preorder) -> list[MonotoneMap]:
+    """``_monotone_values`` as ``MonotoneMap`` records."""
+    return [MonotoneMap._trusted(p, q, values) for values in _monotone_values(p, q)]
 
 
 def check_galois_connection(f: MonotoneMap, g: MonotoneMap) -> bool:

@@ -1,17 +1,20 @@
 """Output-sensitive answers against their brute-force oracles.
 
-``stabilizer`` (the ``_assignments`` search, cut by pair-kind masks) and
-its order (the product of basic orbit sizes), the path listings (a
-depth-first search pruned by the table of path counts) and
+``stabilizer`` (a depth-first search cut by pair-kind masks, which lists a
+symmetric tail whole) and its order (the product of basic orbit sizes), the
+path listings (a depth-first search pruned by the table of path counts) and
 ``is_cm_bipartite`` (partial matchings cut) are compared with the n! scan,
 the layer-by-layer path growth and the validate-every-matching loop in
 ``tests/oracles.py``; ``write_document`` is compared with ``document_text``
 and with the plain ``json.dumps`` text, also when arrays arrive as
-generators, and when an array's rows stray from the shape of its first
-row.  The streamed stabilizer, path and up-set listings are pinned to a
-small peak of traced memory, and the writer's batches to a bounded size.
+generators or as row functions, and when an array's rows stray from the
+shape of its first row.  The row functions of the big listings are compared
+with the dict rows they replace.  The streamed stabilizer, path, up-set and
+letterplace documents are pinned to a small peak of traced memory, and the
+writer's batches to a bounded size.
 """
 
+import contextlib
 import io
 import itertools
 import json
@@ -26,8 +29,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordkit import cli
-from ordkit._jsonwriter import BATCH_CHARS
+from ordkit import cli, monomials, relations
+from ordkit._jsonwriter import BATCH_CHARS, map_rows, mask_rows
 from ordkit.digraphs import (
     Digraph,
     Edge,
@@ -37,12 +40,14 @@ from ordkit.digraphs import (
     hom_paths,
     iter_hom_paths,
     iter_paths,
+    path_rows,
     paths_up_to_length,
 )
-from ordkit.edgerings import BipartiteGraph, is_cm_bipartite
+from ordkit.edgerings import BipartiteGraph, is_cm_bipartite, letterplace
 from ordkit.errors import OrdkitError
 from ordkit.monomials import divides, iter_stabilizer, minimalize, stabilizer, stabilizer_order
-from ordkit.textio import document_text, parse_digraph, write_document
+from ordkit.relations import MonotoneMap, Preorder, monotone_maps
+from ordkit.textio import document_text, parse_digraph, parse_monomials, parse_preorder, write_document
 from tests import oracles
 
 
@@ -134,6 +139,99 @@ class TestStabilizer:
         assert stabilizer(minimalize(1, [(3,)])) == [(0,)]
         assert stabilizer(minimalize(3, [])) == list(itertools.permutations(range(3)))
         assert stabilizer(minimalize(3, [(0, 0, 0)])) == list(itertools.permutations(range(3)))
+
+    def test_seeded_ideals_whose_symmetric_block_comes_last(self):
+        # Random generators on the first variables, and a block on the last
+        # ones that every permutation of the block fixes: the listing takes
+        # the whole block as one symmetric tail below each prefix.
+        rng = random.Random(71)
+        for case in range(150):
+            nvars = 8 if case % 50 == 0 else rng.randint(2, 7)
+            k = rng.randint(2, nvars)
+            head, block = nvars - k, range(nvars - k, nvars)
+            gens = [tuple(rng.randint(0, 2) for _ in range(head)) + (0,) * k for _ in range(rng.randint(0, 3))]
+            power, joined = rng.randint(1, 3), rng.random() < 0.5
+            for i in block:
+                gens.append(tuple(power * (v == i) for v in range(nvars)))
+                if joined and head:  # x0 times each block variable keeps the block symmetric
+                    gens.append(tuple(int(v in (0, i)) for v in range(nvars)))
+            if case % 3 == 0:  # pairs inside the block, a generator in two of its variables
+                gens += [tuple(int(v in pair) for v in range(nvars)) for pair in itertools.combinations(block, 2)]
+            ideal = minimalize(nvars, gens)
+            found = stabilizer(ideal)
+            assert found == oracles.stabilizer(ideal), ideal.gens
+            assert stabilizer_order(ideal) == len(found) >= math.factorial(k)
+
+    def test_seeded_ideals_with_interleaved_blocks(self):
+        # Variables in random blocks, shuffled so that each block's variables
+        # sit between the others': each variable's pure power has its block's
+        # exponent, and a product xi*xj is added for every pair drawn from one
+        # or two chosen blocks, so each block's permutations fix the ideal.
+        rng = random.Random(73)
+        for case in range(150):
+            nvars = 8 if case % 50 == 0 else rng.randint(3, 7)
+            sizes = []
+            while sum(sizes) < nvars:
+                sizes.append(rng.randint(1, nvars - sum(sizes)))
+            exponent = [rng.randint(1, 3) for _ in sizes]
+            label = [b for b, size in enumerate(sizes) for _ in range(size)]
+            rng.shuffle(label)
+            gens = [tuple(exponent[label[i]] * (v == i) for v in range(nvars)) for i in range(nvars)]
+            for _ in range(rng.randint(0, 2)):
+                b, c = rng.randrange(len(sizes)), rng.randrange(len(sizes))
+                gens += [
+                    tuple(int(v in (i, j)) for v in range(nvars))
+                    for i in range(nvars)
+                    for j in range(nvars)
+                    if i < j and {label[i], label[j]} == {b, c}
+                ]
+            ideal = minimalize(nvars, gens)
+            found = stabilizer(ideal)
+            assert found == oracles.stabilizer(ideal), ideal.gens
+            assert stabilizer_order(ideal) == len(found)
+
+    def test_fano_style_cases_need_the_exact_test_below_the_symmetric_cut(self):
+        # Designs in which every pair of points has the same pair kind, so the
+        # symmetric cut fires at the root and only the exact test can tell the
+        # permutations apart.
+        lines = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+        rng = random.Random(79)
+        designs = [
+            (7, lines),
+            (7, [tuple(v for v in range(7) if v not in line) for line in lines]),  # the complements
+            (5, list(itertools.combinations(range(5), 3))),
+            # a 2-(6, 3, 2) design: every pair of points lies on two of the ten blocks
+            (6, [(0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5), (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5)]),
+        ]
+        for nvars, blocks in designs:
+            for _ in range(3):
+                sigma = rng.sample(range(nvars), nvars)
+                ideal = minimalize(nvars, [tuple(int(sigma[v] in b) for v in range(nvars)) for b in blocks])
+                found = stabilizer(ideal)
+                assert found == oracles.stabilizer(ideal), (nvars, ideal.gens)
+                assert stabilizer_order(ideal) == len(found)
+        # x0 squared first: the cut fires below x0 -> x0, on the seven points of the plane.
+        with_head = minimalize(8, [(2,) + (0,) * 7] + [(0,) + tuple(int(v in line) for v in range(7)) for line in lines])
+        assert len(stabilizer(with_head)) == 168 and stabilizer(with_head) == oracles.stabilizer(with_head)
+
+    def test_a_symmetric_tail_is_listed_without_searching_it(self, monkeypatch):
+        # ``_bits`` is read once per node of the search, so its calls count the
+        # nodes: all of S8 is one node, and S7 below x0 a handful.
+        calls = []
+
+        def counted(mask):
+            calls.append(mask)
+            return relations._bits(mask)
+
+        monkeypatch.setattr(monomials, "_bits", counted)
+        squares = minimalize(8, [tuple(2 * (v == i) for v in range(8)) for i in range(8)])
+        assert list(iter_stabilizer(squares)) == list(itertools.permutations(range(8)))
+        assert len(calls) <= 2
+        calls.clear()
+        cube_first = minimalize(8, [(3,) + (0,) * 7] + [tuple(2 * (v == i) for v in range(8)) for i in range(1, 8)])
+        found = list(iter_stabilizer(cube_first))
+        assert found == [(0,) + p for p in itertools.permutations(range(1, 8))]
+        assert len(calls) <= 8
 
     def test_guard_message_is_unchanged(self):
         with pytest.raises(OrdkitError, match=r"^monomial-ideals.stabilizer: 9 variables exceeds guard 8$"):
@@ -335,6 +433,34 @@ class TestStreamedListings:
         assert cli.main(argv) == 0
         assert traced_peak(lambda: cli.main(argv)) < 1 << 20
 
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            (("graph", "letterplace", "--p", "n=5; points: j,w,t,c,n; pairs: t<=c", "--q",
+              "n=4; points: w,i,m,p; pairs: p<=w"), 320 << 10),
+            (("graph", "co-letterplace", "--poset", "n=5; points: g,x,c,r,o; pairs: c<=g, x<=r, c<=o, x<=g, o<=r",
+              "--depth", "4", "--full-hom"), 360 << 10),
+        ],
+        ids=["letterplace", "co-letterplace"],
+    )
+    def test_letterplace_documents_peak_under_their_pins(self, monkeypatch, argv, limit):
+        # 288 and 413 maps; the generators and exponents stream into the document.
+        monkeypatch.setattr("sys.stdout", NullSink())
+        assert cli.main(list(argv)) == 0
+        assert traced_peak(lambda: cli.main(list(argv))) < limit
+
+    def test_letterplace_builds_no_map_records(self, monkeypatch):
+        p, q = Preorder.discrete(7), Preorder.chain(3)
+        expected = [f.values for f in monotone_maps(p, q)]
+        assert len(expected) == 3**7
+
+        def refuse(*values):
+            raise AssertionError("a MonotoneMap record was built")
+
+        monkeypatch.setattr(MonotoneMap, "_trusted", refuse)
+        ideal = letterplace(p, q)
+        assert ideal.ideal.gens == tuple(sorted(tuple(int(v == f[x]) for x in range(7) for v in range(3)) for f in expected))
+
     def test_chain_of_three_hundred_vertices_peaks_under_one_mebibyte(self):
         n = 300
         chain = Digraph(n, tuple(Edge(i, i + 1, f"e{i}") for i in range(n - 1)))
@@ -485,6 +611,132 @@ class TestGeneratorArrays:
         assert out.writes[0][0] > 0 and len(out.writes) > 3
         expected = json.dumps(materialised({"rows": rows()}), indent=2, sort_keys=True)
         assert "".join(text for _, text in out.writes) == expected + "\n"
+
+
+def dumped(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# Names and labels that JSON must escape, and "%", which the row templates must not read.
+AWKWARD = ["a", "b", "ab", "Ölçü", "順序", "\U0001f600", 'q"', "back\\", "tab\t", "%s", "%%", "%(a)s", "", " "]
+
+
+class TestRowFunctions:
+    """Each listing's row function writes what ``json.dumps`` writes for the rows it replaces."""
+
+    def test_a_row_function_is_an_array_at_any_depth(self):
+        rows = lambda indent: (f"[{indent}  {i}{indent}]" for i in range(3))  # noqa: E731
+        doc = {"a": [{"deep": rows}], "b": lambda indent: iter(()), "c": rows}
+        expected = {"a": [{"deep": [[0], [1], [2]]}], "b": [], "c": [[0], [1], [2]]}
+        assert document_text(doc) == dumped(expected)
+        out = io.StringIO()
+        write_document(doc, out)
+        assert out.getvalue() == dumped(expected)
+
+    def test_mask_rows_on_seeded_masks_across_the_byte_boundary(self):
+        rng = random.Random(83)
+        for n in (0, 1, 2, 7, 8, 9, 15, 16, 17, 24):
+            names = rng.sample(AWKWARD, min(n, len(AWKWARD))) + [f"p{i}" for i in range(n - len(AWKWARD))]
+            full = (1 << n) - 1
+            masks = sorted({0, full, *(rng.getrandbits(n) if n else 0 for _ in range(40))})
+            masks += [1 << x for x in range(n)] + [full ^ 1 << x for x in range(n)]
+            expected = {"opens": [[names[x] for x in range(n) if m >> x & 1] for m in masks]}
+            assert document_text({"opens": mask_rows(masks, names)}) == dumped(expected), n
+        assert document_text({"opens": mask_rows([], ["a"])}) == dumped({"opens": []})
+
+    def test_preorder_upsets_documents_match_the_name_lists(self):
+        for text in ("n=1", "n=5", "n=9; pairs: p0<=p1, p1<=p2", "n=16; pairs: p7<=p8, p8<=p9, p3<=p12"):
+            p, names = parse_preorder(text)
+            masks = relations.up_sets(p)
+            rows = [[names[x] for x in relations._bits(m)] for m in masks]
+            assert masks[0] == 0 and rows[0] == []
+            expected = {"count": len(masks), "kind": "up-sets", "opens": rows}
+            assert run_cli("preorder", "upsets", "--input", text) == dumped(expected)
+
+    def test_map_rows_on_seeded_permutations_and_names(self):
+        rng = random.Random(89)
+        for n in (0, 1, 1, 2, 3, 5, 8, 8):
+            names = rng.sample(AWKWARD, n)
+            perms = [tuple(rng.sample(range(n), n)) for _ in range(30)]
+            expected = {"rows": [{names[i]: names[j] for i, j in enumerate(t)} for t in perms]}
+            assert document_text({"rows": map_rows(iter(perms), names)}) == dumped(expected), names
+
+    def test_ideal_stabilizer_documents_on_zero_one_and_more_variables(self):
+        for nvars, gens in [(0, []), (0, [()]), (1, [(3,)]), (1, []), (3, [(1, 1, 0), (0, 1, 1)]), (4, [])]:
+            ideal = minimalize(nvars, gens)
+            names = ["z", "a", "m", "b"][:nvars]
+            expected = {"rows": [{names[i]: names[j] for i, j in enumerate(t)} for t in stabilizer(ideal)]}
+            assert document_text({"rows": map_rows(iter_stabilizer(ideal), names)}) == dumped(expected)
+        for gens in ("x^2", "y*z, x^3", "b*a, c*b, a*c"):
+            vectors, ground = parse_monomials(gens)
+            perms = stabilizer(minimalize(len(ground), vectors))
+            rows = [{ground[i]: ground[j] for i, j in enumerate(t)} for t in perms]
+            expected = {"count": len(perms), "kind": "stabilizer", "permutations": rows}
+            assert run_cli("ideal", "stabilizer", "--gens", gens) == dumped(expected)
+
+    @staticmethod
+    def path_dicts(paths, names):
+        """The rows ``digraph paths`` and ``homs`` wrote as dicts, from the ``Path`` records."""
+        return [
+            {
+                "start": names[p.start],
+                "end": names[p.end],
+                "labels": list(p.labels),
+                "word": "".join(p.labels) if p.edges else f"1_{names[p.start]}",
+            }
+            for p in paths
+        ]
+
+    def test_path_rows_on_seeded_digraphs(self):
+        rng = random.Random(97)
+        for case in range(120):
+            n = rng.randint(1, 6)
+            q = random_digraph(rng, n, cyclic=False, loops=False)
+            if case % 3 == 0:  # labels JSON must escape, and labels that are prefixes of others
+                edges = tuple(Edge(e.src, e.dst, rng.choice(AWKWARD[:-2]) + str(k)) for k, e in enumerate(q.edges))
+                q = Digraph(n, edges)
+            names = rng.sample(AWKWARD[:-2], n)
+            for limit in (None, 0, 1, 3):
+                expected = {"paths": self.path_dicts(iter_paths(q, limit), names)}
+                assert document_text({"paths": path_rows(q, names, limit)}) == dumped(expected)
+            a, b = rng.randrange(n), rng.randrange(n)
+            for source, target in ((a, b), (a, a), (b, a)):
+                for limit in (None, 0, 2):
+                    expected = {"paths": self.path_dicts(iter_hom_paths(q, source, target, limit), names)}
+                    written = document_text({"paths": path_rows(q, names, limit, source, target)})
+                    assert written == dumped(expected)
+
+    def test_path_documents_without_edges_with_default_labels_and_unreachable_targets(self):
+        cases = [
+            ("n=1", ("paths", "--complete")),
+            ("n=3", ("paths", "--max-length", "2")),
+            ("n=3; edges: a->b, b->c, a->c", ("paths", "--complete")),
+            ("n=3; edges: a->b, b->c, a->c:x", ("homs", "--source", "a", "--target", "c")),
+            ("n=3; edges: a->b, b->c", ("homs", "--source", "b", "--target", "b")),
+            ("n=3; edges: a->b, b->c", ("homs", "--source", "c", "--target", "a")),
+            ("n=3; edges: a->b", ("homs", "--source", "a", "--target", "c", "--max-length", "0")),
+        ]
+        for text, (command, *options) in cases:
+            q, names = parse_digraph(text)
+            if command == "paths":
+                limit = None if "--complete" in options else int(options[-1])
+                paths = list(iter_paths(q, limit))
+                kind = "paths"
+            else:
+                source, target = names.index(options[1]), names.index(options[3])
+                limit = int(options[5]) if len(options) > 4 else None
+                paths = list(iter_hom_paths(q, source, target, limit))
+                kind = "hom-paths"
+            expected = {"count": len(paths), "kind": kind, "paths": self.path_dicts(paths, names)}
+            assert run_cli("digraph", command, "--input", text, *options) == dumped(expected), (text, options)
+
+
+def run_cli(*argv):
+    """The stdout of ``cli.main(argv)``, which must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    return out.getvalue()
 
 
 json_values = st.recursive(
