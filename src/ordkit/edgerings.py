@@ -15,10 +15,10 @@ from typing import Iterable, Sequence
 from .errors import OrdkitError
 from .monomials import Monomial, MonomialIdeal, minimalize
 from .relations import (
+    MAX_POINTS,
     MonotoneMap,
     Preorder,
     Record,
-    _assignments,
     _bits,
     _monotone_values,
     _transpose,
@@ -26,7 +26,6 @@ from .relations import (
     up_sets,
 )
 
-CM_SIDE_CAP = 10
 DUAL_GROUND_CAP = 20
 
 
@@ -216,44 +215,34 @@ def antichain_dimension(order: Preorder) -> int:
 
 
 def is_cm_bipartite(g: BipartiteGraph) -> CMWitness | None:
-    """Search for a matching that turns the relation into a partial order.
+    """Peel the graph down to the matching that makes it the graph of a poset.
 
-    A_0, A_1, ... are matched in turn to unused B-vertices joined to them,
-    since a reflexive identification must use actual edges.  Bit j of row i
-    says that A_i is joined to the match of A_j, so every row is reflexive by
-    construction.  A match is allowed only when the rows on the points
-    matched so far stay transitive and antisymmetric; a partial order stays
-    one on every subset of its points, so the cut loses no witness, and the
-    first complete matching is the lexicographically smallest valid one.
-    Empty sides have no point set and give no witness.
+    A bipartite graph is Cohen-Macaulay exactly when it is the graph of a
+    poset, A_x joined to B_y for x <= y (Herzog and Hibi, J. Algebraic
+    Combin. 22 (2005)).  There a maximal point's A-vertex has only its own
+    edge, and removing the pair leaves the graph of the rest, so an A-vertex
+    with exactly one edge to an unused B-vertex is matched until none is
+    left.  Each match is forced, so a finished peel is the only perfect
+    matching.  Bit j of row i says that A_i is joined to the match of A_j,
+    and transitive rows are a poset: equal rows would allow a second
+    matching.  Empty or unequal sides give no witness.
     """
-    if len(g.a_names) > CM_SIDE_CAP or len(g.b_names) > CM_SIDE_CAP:
-        raise OrdkitError("edge-rings", "is_cm_bipartite", f"side exceeds guard {CM_SIDE_CAP}")
-    n = len(g.a_names)
+    if len(g.a_names) > MAX_POINTS or len(g.b_names) > MAX_POINTS:
+        raise OrdkitError("edge-rings", "is_cm_bipartite", f"side exceeds guard {MAX_POINTS}")
+    n, relation = len(g.a_names), g.relation
     if n != len(g.b_names) or n == 0:
         return None
-    relation, column = g.relation, _transpose(g.relation)
-
-    def rows_of(matched: Sequence[int]) -> list[int]:
-        return [sum(1 << j for j, b in enumerate(matched) if rel >> b & 1) for rel in relation]
-
-    def allowed(matched: list[int]) -> int:
-        k, rows = len(matched), rows_of(matched)
-        above, earlier = rows[k], (1 << k) - 1  # above: the matched points that A_k lies below
-        # Close A_k <= j <= l, i <= A_k <= j and i <= j <= A_k, with no j on both sides of A_k.
-        if any(rows[j] & ~above for j in _bits(above)):
-            return 0
-        ok = 0
-        for b in _bits(relation[k] & ~sum(1 << c for c in matched)):
-            below = column[b] & earlier  # the matched points that matching A_k to b puts below it
-            if not below & above and all(above & ~rows[i] == 0 for i in _bits(below)):
-                if all(rows[i] & below == 0 for i in _bits(earlier & ~below)):
-                    ok |= 1 << b
-        return ok
-
-    for matching in _assignments(n, allowed):
-        return CMWitness(matching, Preorder(n, tuple(rows_of(matching))))
-    return None
+    matching, used = [-1] * n, 0
+    for _ in range(n):
+        i = next((i for i in range(n) if matching[i] < 0 and (relation[i] & ~used).bit_count() == 1), None)
+        if i is None:
+            return None
+        matching[i] = (relation[i] & ~used).bit_length() - 1
+        used |= 1 << matching[i]
+    rows = tuple(sum(1 << j for j, b in enumerate(matching) if rel >> b & 1) for rel in relation)
+    if any(rows[j] & ~rows[i] for i in range(n) for j in _bits(rows[i])):
+        return None
+    return CMWitness(tuple(matching), Preorder._trusted(n, rows))
 
 
 def has_linear_resolution_shape(g: BipartiteGraph) -> bool:

@@ -418,6 +418,17 @@ class TestGraphCommands:
         )
         assert parse_document(out)["cohen_macaulay"] is False
 
+    def test_cm_bipartite_sixteen_point_chain_with_side_b_shuffled(self, capsys):
+        a_side, b_side = [f"a{i}" for i in range(16)], [f"b{i}" for i in range(16)]
+        shuffled = random.Random(16).sample(b_side, 16)
+        edges = ", ".join(f"a{i}-b{j}" for i in range(16) for j in range(i, 16))
+        text = f"A: {','.join(a_side)} | B: {','.join(shuffled)} | edges: {edges}"
+        code, out, err = run(capsys, "graph", "cm-bipartite", "--input", text)
+        doc = parse_document(out)
+        assert (code, err, doc["cohen_macaulay"]) == (0, "", True)
+        assert doc["matching"] == dict(zip(a_side, b_side))
+        assert doc["poset"] == render_preorder(Preorder.chain(16), a_side)
+
     def test_linres(self, capsys):
         _, out, _ = run(
             capsys, "graph", "linres", "--edges", "a-b,b-c,c-d", "--parts", "a,c|b,d"

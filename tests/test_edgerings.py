@@ -27,6 +27,7 @@ from ordkit.relations import (
     classify,
     enumerate_preorders,
     monotone_maps,
+    relabel,
 )
 from ordkit.textio import parse_bipartite, parse_graph, render_ideal
 from tests import oracles
@@ -36,6 +37,18 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def posets(n):
     return [p for p in enumerate_preorders(n) if classify(p).partial_order]
+
+
+def shuffled_poset_graph(rng, n):
+    """A random poset, and its graph with point x as A-vertex ``label[x]`` and B-vertex ``place[x]``."""
+    rank = rng.sample(range(n), n)
+    p = Preorder.from_pairs(n, [(x, y) for x in range(n) for y in range(n) if rank[x] < rank[y] and rng.random() < 0.2])
+    label, place = rng.sample(range(n), n), rng.sample(range(n), n)
+    relation = [0] * n
+    for x, y in p.pairs():
+        relation[label[x]] |= 1 << place[y]
+    names = tuple(f"a{i}" for i in range(n)), tuple(f"b{j}" for j in range(n))
+    return p, label, place, BipartiteGraph(*names, tuple(relation))
 
 
 class TestEdgeIdeal:
@@ -173,9 +186,9 @@ class TestCMBipartite:
 
     def test_guard(self):
         big = BipartiteGraph(
-            tuple(f"a{i}" for i in range(11)),
-            tuple(f"b{i}" for i in range(11)),
-            tuple(0 for _ in range(11)),
+            tuple(f"a{i}" for i in range(17)),
+            tuple(f"b{i}" for i in range(17)),
+            tuple(0 for _ in range(17)),
         )
         with pytest.raises(OrdkitError, match="guard"):
             is_cm_bipartite(big)
@@ -226,6 +239,39 @@ class TestCMBipartite:
                 witness = is_cm_bipartite(g)
                 assert witness is not None
                 assert are_isomorphic(witness.poset, p)
+
+    def test_the_graph_of_a_poset_has_exactly_one_perfect_matching(self):
+        # The fact the peel relies on: i <= match(i) for all i forces the identity.
+        for n in range(1, 5):
+            for p in posets(n):
+                assert list(oracles.perfect_matchings(p.rows)) == [tuple(range(n))]
+
+    def test_seeded_posets_on_eleven_to_sixteen_points_with_both_sides_shuffled(self):
+        rng = random.Random(26)
+        for _ in range(60):
+            p, label, place, g = shuffled_poset_graph(rng, rng.randint(11, 16))
+            witness = is_cm_bipartite(g)
+            assert witness is not None
+            assert witness.poset == relabel(p, label)
+            assert all(witness.matching[label[x]] == place[x] for x in range(p.n))
+
+    def test_one_bit_mutations_give_none_or_a_witness_that_rebuilds_the_relation(self):
+        rng = random.Random(27)
+        kept = 0
+        for _ in range(300):
+            n = rng.randint(11, 16)
+            g = shuffled_poset_graph(rng, n)[3]
+            relation = list(g.relation)
+            relation[rng.randrange(n)] ^= 1 << rng.randrange(n)
+            g = BipartiteGraph(g.a_names, g.b_names, tuple(relation))
+            witness = is_cm_bipartite(g)
+            if witness is None:
+                continue
+            kept += 1
+            assert classify(witness.poset).partial_order
+            rebuilt = [sum(1 << witness.matching[w] for w in range(n) if witness.poset.le(v, w)) for v in range(n)]
+            assert tuple(rebuilt) == g.relation
+        assert 0 < kept < 300
 
 
 class TestLinearResolutionShape:

@@ -3,18 +3,28 @@
 Each call returns 0, 1 or 2 and raises nothing.  Exit 1 writes nothing to
 stdout and exactly one ``ERR `` line to stderr; exit 2 writes nothing to
 stdout and at least one line to stderr.  Values are passed as
-``--flag=value``, so a value that starts with ``-`` still parses.
+``--flag=value``, so a value that starts with ``-`` still parses.  The
+largest family the topology grammar reads is refused in a fresh process,
+under a deadline.
 """
 
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
+import time
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ordkit
 from ordkit import cli
+from ordkit.errors import OrdkitError
+from ordkit.topology import validate
 
 FRAGMENTS = {
     "preorder": [
@@ -184,3 +194,32 @@ def test_every_text_option_has_a_grammar():
         for flag, kwargs in options:
             if kwargs.get("type") is not int and kwargs.get("action") != "store_true":
                 assert _kind(group, leaf, flag) in FRAGMENTS, (group, leaf, flag)
+
+
+# All subsets of 16 points but {1..15}: a scan of every pair of its opens takes minutes to refuse it.
+ALL_BUT_ONE = [mask for mask in range(1 << 16) if mask != (1 << 16) - 2]
+
+
+def test_all_subsets_but_one_of_sixteen_points_exit_1_within_the_deadline(tmp_path):
+    names = [f"p{i}" for i in range(16)]
+    opens = ", ".join("{" + ",".join(names[x] for x in range(16) if mask >> x & 1) + "}" for mask in ALL_BUT_ONE)
+    path = tmp_path / "family.txt"
+    path.write_text(f"points: {','.join(names)}; opens: {opens}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ordkit", "topology", "validate", "--file", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": str(Path(ordkit.__file__).parents[1])},
+    )
+    lines = proc.stderr.splitlines()
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert len(lines) == 1 and lines[0].startswith("ERR finite-topology.validate: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_all_subsets_but_one_of_sixteen_points_are_refused_in_under_one_second():
+    start = time.perf_counter()
+    with pytest.raises(OrdkitError, match="not closed under union"):
+        validate(ALL_BUT_ONE, 16)
+    assert time.perf_counter() - start < 1.0

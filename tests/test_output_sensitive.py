@@ -3,15 +3,15 @@
 ``stabilizer`` (a depth-first search cut by pair-kind masks, which lists a
 symmetric tail whole) and its order (the product of basic orbit sizes), the
 path listings (a depth-first search pruned by the table of path counts) and
-``is_cm_bipartite`` (partial matchings cut) are compared with the n! scan,
-the layer-by-layer path growth and the validate-every-matching loop in
-``tests/oracles.py``; ``write_document`` is compared with ``document_text``
-and with the plain ``json.dumps`` text, also when arrays arrive as
-generators or as row functions, and when an array's rows stray from the
-shape of its first row.  The row functions of the big listings are compared
-with the dict rows they replace.  The streamed stabilizer, path, up-set and
-letterplace documents are pinned to a small peak of traced memory, and the
-writer's batches to a bounded size.
+``is_cm_bipartite`` (the graph peeled to its one forced matching) are
+compared with the n! scan, the layer-by-layer path growth and the
+validate-every-matching loop in ``tests/oracles.py``; ``write_document`` is
+compared with ``document_text`` and with the plain ``json.dumps`` text,
+also when arrays arrive as generators or as row functions, and when an
+array's rows stray from the shape of its first row.  The row functions of
+the big listings are compared with the dict rows they replace.  The
+streamed stabilizer, path, up-set and letterplace documents are pinned to a
+small peak of traced memory, and the writer's batches to a bounded size.
 """
 
 import contextlib
