@@ -455,22 +455,23 @@ def _cmd_graph_dual(args) -> int:
 # ---------------------------------------------------------------- galois
 
 
-def _map_values(spec: str, d: int) -> tuple[int, ...]:
+def _chain_map(spec: str, c: Preorder) -> MonotoneMap:
+    d = c.n - 1
     named = {
-        "double": lambda k: min(2 * k, d),
+        "double": lambda k: 2 * k,
         "ceil-half": lambda k: (k + 1) // 2,
         "floor-half": lambda k: k // 2,
         "id": lambda k: k,
     }
     if spec in named:
-        return tuple(named[spec](k) for k in range(d + 1))
+        return relations.truncated_chain_map(d, named[spec])
     try:
         values = tuple(int(t) for t in spec.split(","))
     except ValueError:
         raise ParseError(f"map spec {spec!r} is neither a named map nor a value list")
     if len(values) != d + 1:
         raise ParseError(f"value list needs {d + 1} entries for truncation {d}")
-    return values
+    return MonotoneMap(c, c, values)
 
 
 def _cmd_galois_check(args) -> int:
@@ -478,8 +479,8 @@ def _cmd_galois_check(args) -> int:
     if d < 0:
         raise ParseError("truncation must be a natural number")
     c = Preorder.chain(d + 1)
-    f = MonotoneMap(c, c, _map_values(args.left, d))
-    g = MonotoneMap(c, c, _map_values(args.right, d))
+    f = _chain_map(args.left, c)
+    g = _chain_map(args.right, c)
     holds = relations.check_galois_connection(f, g)
     return _emit(
         {
@@ -553,15 +554,17 @@ def _cmd_selftest(args) -> int:
         ("pattern-product-stability", _selftest_product_stability, 200),
         ("alexander-dual-involution", _selftest_dual_involution, 200),
     ]
-    failed = False
+    failed = []
     for name, fn, cases in suites:
         try:
             done = fn(rng, cases)
             sys.stdout.write(f"PASS {name} ({done} cases)\n")
         except AssertionError as exc:
             sys.stdout.write(f"FAIL {name}: {exc}\n")
-            failed = True
-    return 1 if failed else 0
+            failed.append(name)
+    if failed:
+        raise OrdkitError("selftest", "suites", "failed: " + ", ".join(failed))
+    return 0
 
 
 # ---------------------------------------------------------------- command table

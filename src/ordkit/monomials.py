@@ -145,16 +145,18 @@ def monomials_up_to_degree(nvars: int, bound: int) -> Iterator[Monomial]:
 
 
 def is_strongly_stable(ideal: MonomialIdeal, order: Sequence[int] | None = None) -> bool:
-    """Whether every later variable of ``order`` transfers to every earlier one.
+    """Whether the associated preorder contains the chain ``order``.
 
     ``order`` lists the variables from largest to smallest; default is the
-    standard order x0 > x1 > ... > x(n-1).
+    standard order x0 > x1 > ... > x(n-1).  The ideal is strongly stable when
+    every later variable transfers to every earlier one; the transfers form
+    the associated preorder, which is transitive, so the adjacent pairs decide.
     """
     n = ideal.nvars
     order = tuple(range(n)) if order is None else tuple(order)
     if sorted(order) != list(range(n)):
         raise OrdkitError("monomial-ideals", "is_strongly_stable", f"{order} is not a permutation")
-    return all(_transfers(ideal, order[j], order[i]) for j in range(n) for i in range(j))
+    return all(_transfers(ideal, order[j + 1], order[j]) for j in range(n - 1))
 
 
 def is_most_degenerate(ideal: MonomialIdeal) -> bool:

@@ -22,8 +22,6 @@ from .errors import OrdkitError
 from .relations import MAX_POINTS, Preorder, Record, Relation, _bits, _transpose, closure
 from .topology import FiniteTopology, from_preorder
 
-STANDARD_GENERATOR_CAP = 6
-
 
 class PatternMatrix(Record):
     """Boolean zero pattern; bit w of rows[v] set when entry (v, w) may be nonzero."""
@@ -173,10 +171,6 @@ def preorder_of_subgroup(gens: Sequence[RationalMatrix]) -> Preorder:
 
 def standard_generators(p: Preorder) -> tuple[RationalMatrix, ...]:
     """A torus element with distinct entries plus one transvection per strict pair."""
-    if p.n > STANDARD_GENERATOR_CAP:
-        raise OrdkitError(
-            "pattern-groups", "standard_generators", f"n={p.n} exceeds guard {STANDARD_GENERATOR_CAP}"
-        )
     gens = [diagonal(list(range(1, p.n + 1)))]
     for x, y in p.strict_pairs():
         gens.append(elementary(p.n, y, x, 1))

@@ -10,17 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .errors import OrdkitError
-from .relations import (
-    Preorder,
-    Record,
-    _bits,
-    _env_cap,
-    classify,
-    enumerate_preorders,
-    up_sets,
-)
-
-TOPOLOGY_ENUMERATION_CAP = 4
+from .relations import Preorder, Record, _bits, classify, enumerate_preorders, up_sets
 
 
 def _set_text(mask: int) -> str:
@@ -104,7 +94,7 @@ def to_preorder(t: FiniteTopology) -> Preorder:
 
 
 def is_t0(t: FiniteTopology) -> bool:
-    """True when distinct points have distinct open neighbourhood filters."""
+    """True when distinct points have distinct minimal opens, so distinct open filters."""
     return classify(to_preorder(t)).partial_order
 
 
@@ -114,12 +104,8 @@ def enumerate_topologies(n: int) -> Iterator[FiniteTopology]:
     They come ordered by their generator lists, so a family comes before
     the families that its generators extend.  An up-set topology is generated
     by its principal up-sets, so that list is the distinct rows but the full one.
+    Finite topologies are exactly these up-set families (Alexandroff 1937), so
+    the preorder stream's guard, which ``ORDKIT_MAX_N`` lowers, is the only one.
     """
-    cap = _env_cap(TOPOLOGY_ENUMERATION_CAP)
-    if not 1 <= n <= cap:
-        raise OrdkitError(
-            "finite-topology", "enumerate_topologies", f"n={n} outside guard 1..{cap}"
-        )
-    full = (1 << n) - 1
-    ordered = sorted(enumerate_preorders(n), key=lambda p: sorted(set(p.rows) - {full}))
+    ordered = sorted(enumerate_preorders(n), key=lambda p: sorted(set(p.rows) - {(1 << p.n) - 1}))
     yield from map(from_preorder, ordered)

@@ -8,9 +8,10 @@ pattern-based ``textio.parse_monomials`` replaced.  ``classify`` and
 ``bubbles`` scan pairs of points where ``ordkit`` compares rows and
 columns, ``has_cycle`` is the three-colour depth-first search that
 Kahn's source peeling replaced, ``check_galois_connection`` tests every
-pair of points where ``ordkit`` tests the unit and the counit, and
-``validate`` closes every pair of opens where ``ordkit`` counts the up-sets
-of the specialization preorder.
+pair of points where ``ordkit`` tests the unit and the counit,
+``validate`` closes every pair of opens where ``ordkit`` joins each open
+with the minimal opens, and ``is_strongly_stable`` moves exponent to every
+larger variable where ``ordkit`` tests the adjacent transfers.
 """
 
 from __future__ import annotations

@@ -11,7 +11,14 @@ import pytest
 import ordkit
 from ordkit.cli import main
 from ordkit.relations import Preorder, enumerate_preorders, monotone_maps
-from ordkit.textio import default_point_names, parse_document, parse_preorder, render_preorder
+from ordkit.textio import (
+    default_point_names,
+    parse_document,
+    parse_preorder,
+    render_preorder,
+    render_topology,
+)
+from tests import oracles
 
 
 def run(capsys, *argv):
@@ -78,12 +85,16 @@ class TestPreorderCommands:
             count = run(capsys, "preorder", "enumerate", "--n", str(n), "--count")
             assert count == (0, f"{len(out.splitlines())}\n", "")
 
-    @pytest.mark.parametrize("group, n", [("preorder", "0"), ("preorder", "6"), ("topology", "5")])
+    @pytest.mark.parametrize(
+        "group, n",
+        [("preorder", "0"), ("preorder", "6"), ("topology", "-1"), ("topology", "0"), ("topology", "6")],
+    )
     def test_listing_outside_the_guard_writes_nothing(self, capsys, group, n):
         code, out, err = run(capsys, group, "enumerate", "--n", n)
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1
-        assert err.startswith("ERR ") and f"n={n} outside guard" in err
+        assert err.startswith("ERR order-core.enumerate_preorders:") and f"n={n} outside guard" in err
+        assert run(capsys, group, "enumerate", "--n", n, "--count") == (1, "", err)
 
     def test_env_guard_lowers_enumeration(self, capsys, monkeypatch):
         monkeypatch.setenv("ORDKIT_MAX_N", "2")
@@ -95,6 +106,13 @@ class TestTopologyCommands:
     def test_enumerate_count(self, capsys):
         code, out, _ = run(capsys, "topology", "enumerate", "--n", "3", "--count")
         assert (code, out) == (0, "29\n")
+
+    def test_enumerate_five_points_renders_the_oracle_listing(self, capsys):
+        code, out, err = run(capsys, "topology", "enumerate", "--n", "5")
+        names = default_point_names(5)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [render_topology(t, names) for t in oracles.enumerate_topologies(5)]
+        assert run(capsys, "topology", "enumerate", "--n", "5", "--count") == (0, "6942\n", "")
 
     def test_validate_reports_witness(self, capsys):
         code, _, err = run(
@@ -773,6 +791,15 @@ class TestSelftest:
         first = run(capsys, "selftest", "--seed", "3")
         second = run(capsys, "selftest", "--seed", "3")
         assert first == second
+
+    def test_failing_suite_exits_one_with_one_err_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("ordkit.monomials.associated_preorder", lambda ideal: Preorder.coarse(ideal.nvars))
+        code, out, err = run(capsys, "selftest", "--seed", "17")
+        lines = out.splitlines()
+        assert code == 1 and len(lines) == 3
+        assert lines[0].startswith("FAIL associated-preorder-oracle: associated preorder mismatch on ")
+        assert lines[1:] == ["PASS pattern-product-stability (200 cases)", "PASS alexander-dual-involution (200 cases)"]
+        assert err == "ERR selftest.suites: failed: associated-preorder-oracle\n"
 
 
 def _readme_cli_examples():

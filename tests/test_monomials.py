@@ -275,6 +275,24 @@ ideals_and_orders = st.integers(0, 5).flatmap(
 )
 
 
+def borel_closure(nvars, gens, order):
+    """The ideal of every monomial that moving exponents to earlier variables of ``order`` reaches from ``gens``."""
+    seen, todo = set(gens), list(gens)
+    while todo:
+        m = todo.pop()
+        for j in range(1, nvars):
+            if not m[order[j]]:
+                continue
+            for i in range(j):
+                moved = list(m)
+                moved[order[j]] -= 1
+                moved[order[i]] += 1
+                if tuple(moved) not in seen:
+                    seen.add(tuple(moved))
+                    todo.append(tuple(moved))
+    return minimalize(nvars, seen)
+
+
 class TestAgainstOracles:
     @settings(max_examples=400, deadline=None)
     @given(upsets)
@@ -292,6 +310,24 @@ class TestAgainstOracles:
         ideal, order = drawn
         assert is_strongly_stable(ideal) == oracles.is_strongly_stable(ideal)
         assert is_strongly_stable(ideal, order) == oracles.is_strongly_stable(ideal, order)
+
+    def test_strong_stability_matches_the_generator_scan_on_seeded_borel_closures(self):
+        """Adjacent transfers decide: every other ideal is Borel-closed for a random order."""
+        rng = random.Random(27)
+        cases = stable = 0
+        for k in range(3000):
+            n = rng.randint(1, 5)
+            order = tuple(rng.sample(range(n), n))
+            top = 1 if k % 2 else 3
+            gens = [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+            ideal = borel_closure(n, gens, order) if k % 2 else minimalize(n, gens)
+            for chain in (None, order):
+                got = is_strongly_stable(ideal, chain)
+                assert got == oracles.is_strongly_stable(ideal, chain)
+                cases, stable = cases + 1, stable + got
+            if k % 2:
+                assert got
+        assert cases == 6000 and stable >= 0.4 * cases
 
     def test_monomials_up_to_degree_lists_each_vector_once(self):
         for nvars in range(5):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from ordkit.relations import (
     relabel,
     up_sets,
 )
+from ordkit.topology import from_preorder
 from tests.conftest import three_point_classes
 
 
@@ -326,9 +328,22 @@ class TestStandardGenerators:
     def test_coarse_pair_adds_both_transvections(self):
         assert len(standard_generators(Preorder.coarse(2))) == 3
 
-    def test_guard(self):
-        with pytest.raises(OrdkitError, match="standard_generators"):
-            standard_generators(Preorder.discrete(7))
+    def test_seeded_posets_on_seven_to_sixteen_points_round_trip(self):
+        """The cap on standard generators is the preorder's own 16-point cap."""
+        rng = random.Random(27)
+        start = time.perf_counter()
+        for _ in range(20):
+            n = rng.randint(7, 16)
+            rank, density = rng.sample(range(n), n), rng.choice((0.2, 0.4, 0.7))
+            pairs = [(x, y) for x in range(n) for y in range(n) if rank[x] < rank[y] and rng.random() < density]
+            p = Preorder.from_pairs(n, pairs)
+            gens = standard_generators(p)
+            assert preorder_of_subgroup(gens) == p
+            assert invariant_subsets(gens) == from_preorder(p)
+        coarse = Preorder.coarse(16)
+        gens = standard_generators(coarse)
+        assert len(gens) == 241 and preorder_of_subgroup(gens) == coarse
+        assert time.perf_counter() - start < 2.0
 
     def test_product_stability_under_membership(self):
         rng = random.Random(41)
