@@ -48,7 +48,7 @@ def _topology_doc(t, names: Sequence[str]) -> dict:
     }
 
 
-def _ideal_doc(ideal: edgerings.NamedIdeal) -> dict:
+def _ideal_doc(ideal: monomials.NamedIdeal) -> dict:
     return {
         "kind": "ideal",
         "vars": list(ideal.ground),
@@ -92,7 +92,7 @@ def _preorder_from(args) -> tuple[Preorder, tuple[str, ...]]:
     return textio.parse_preorder(_read_source(args), close=not args.no_close)
 
 
-def _named_ideal_from(text: str, cls: type[edgerings.NamedIdeal]) -> edgerings.NamedIdeal:
+def _named_ideal_from(text: str, cls: type[monomials.NamedIdeal]) -> monomials.NamedIdeal:
     vectors, names = textio.parse_monomials(text)
     return cls(names, monomials.minimalize(len(names), vectors))
 
@@ -240,7 +240,7 @@ def _cmd_digraph_render(args) -> int:
 
 
 def _cmd_ideal_preorder(args) -> int:
-    ideal = _named_ideal_from(args.gens, edgerings.NamedIdeal)
+    ideal = _named_ideal_from(args.gens, monomials.NamedIdeal)
     return _emit(_preorder_doc(monomials.associated_preorder(ideal.ideal), ideal.ground))
 
 
@@ -255,28 +255,28 @@ def _order_permutation(spec: str | None, names: Sequence[str]) -> tuple[int, ...
 
 
 def _cmd_ideal_strongly_stable(args) -> int:
-    ideal = _named_ideal_from(args.gens, edgerings.NamedIdeal)
+    ideal = _named_ideal_from(args.gens, monomials.NamedIdeal)
     order = _order_permutation(args.order, ideal.ground)
     value = monomials.is_strongly_stable(ideal.ideal, order)
     return _emit(_value_doc("strongly-stable", value))
 
 
 def _cmd_ideal_most_degenerate(args) -> int:
-    ideal = _named_ideal_from(args.gens, edgerings.NamedIdeal)
+    ideal = _named_ideal_from(args.gens, monomials.NamedIdeal)
     return _emit(_value_doc("most-degenerate", monomials.is_most_degenerate(ideal.ideal)))
 
 
 def _cmd_ideal_stabilizer(args) -> int:
     from ._jsonwriter import map_rows
 
-    ideal = _named_ideal_from(args.gens, edgerings.NamedIdeal)
+    ideal = _named_ideal_from(args.gens, monomials.NamedIdeal)
     count = monomials.stabilizer_order(ideal.ideal)
     rows = map_rows(monomials.iter_stabilizer(ideal.ideal), ideal.ground)
     return _emit({"kind": "stabilizer", "count": count, "permutations": rows})
 
 
 def _cmd_ideal_to_upset(args) -> int:
-    ideal = _named_ideal_from(args.gens, edgerings.NamedIdeal)
+    ideal = _named_ideal_from(args.gens, monomials.NamedIdeal)
     chains = monomials.ss_to_upset(ideal.ideal)
     return _emit(
         {
@@ -305,7 +305,7 @@ def _cmd_ideal_from_upset(args) -> int:
             raise ParseError("nvars must be a natural number")
         names = tuple(f"x{i}" for i in range(nvars))
     ideal = monomials.upset_to_ss(chains, nvars)
-    return _emit(_ideal_doc(edgerings.NamedIdeal(names, ideal)))
+    return _emit(_ideal_doc(monomials.NamedIdeal(names, ideal)))
 
 
 # ---------------------------------------------------------------- pattern
@@ -417,7 +417,7 @@ def _cmd_graph_dim(args) -> int:
     if (args.gens is None) == (args.poset is None):
         raise ParseError("give exactly one of --gens or --poset")
     if args.gens is not None:
-        ideal = _named_ideal_from(args.gens, edgerings.NamedIdeal)
+        ideal = _named_ideal_from(args.gens, monomials.NamedIdeal)
         value = edgerings.kdim_artinian(ideal.ideal, ideal.ground)
         return _emit(_value_doc("quotient-dimension", value))
     p, _names = textio.parse_preorder(args.poset)
@@ -623,7 +623,7 @@ GROUPS = {
             ("--format", {"choices": ("text", "dot"), "default": "dot"}),
         )),
     )),
-    "ideal": ("monomial ideals", ("monomials", "edgerings"), (
+    "ideal": ("monomial ideals", ("monomials",), (
         ("preorder", _cmd_ideal_preorder, _GENS),
         ("strongly-stable", _cmd_ideal_strongly_stable, _GENS + (
             ("--order", {"help": "variables from largest to smallest, e.g. x,y,z"}),

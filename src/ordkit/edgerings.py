@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import OrdkitError
-from .monomials import Monomial, MonomialIdeal, minimalize
+from .monomials import Monomial, MonomialIdeal, NamedIdeal, minimalize
 from .relations import (
     MAX_POINTS,
     MonotoneMap,
@@ -27,23 +27,6 @@ from .relations import (
 )
 
 DUAL_GROUND_CAP = 20
-
-
-class NamedIdeal(Record):
-    """A ``MonomialIdeal`` over a ``ground`` tuple of variable names."""
-
-    __slots__ = ("ground", "ideal")
-
-    def _check(self) -> None:
-        ground, ideal = self.ground, self.ideal
-        if len(set(ground)) != len(ground):
-            raise OrdkitError("edge-rings", "ideal", "duplicate ground set names")
-        if ideal.nvars != len(ground):
-            raise OrdkitError(
-                "edge-rings",
-                "ideal",
-                f"{ideal.nvars} variables but {len(ground)} ground names",
-            )
 
 
 class SquarefreeIdeal(NamedIdeal):

@@ -79,6 +79,28 @@ class MonomialIdeal(Record):
         return max((degree(g) for g in self.gens), default=0)
 
 
+class NamedIdeal(Record):
+    """A ``MonomialIdeal`` over a ``ground`` tuple of variable names.
+
+    Its errors keep the ``edge-rings.ideal`` tag of the squarefree ideals
+    that extend it, so every named-ideal refusal reads the same; the
+    messages are pinned byte for byte by ``tests/test_records.py``.
+    """
+
+    __slots__ = ("ground", "ideal")
+
+    def _check(self) -> None:
+        ground, ideal = self.ground, self.ideal
+        if len(set(ground)) != len(ground):
+            raise OrdkitError("edge-rings", "ideal", "duplicate ground set names")
+        if ideal.nvars != len(ground):
+            raise OrdkitError(
+                "edge-rings",
+                "ideal",
+                f"{ideal.nvars} variables but {len(ground)} ground names",
+            )
+
+
 def minimalize(nvars: int, gens: Iterable[Monomial]) -> MonomialIdeal:
     """Divisibility-minimal antichain generating the same ideal.
 
@@ -175,21 +197,20 @@ def permute_ideal(ideal: MonomialIdeal, perm: Sequence[int]) -> MonomialIdeal:
     return MonomialIdeal(ideal.nvars, tuple(sorted(permute_monomial(g, perm) for g in ideal.gens)))
 
 
-def _stabilizer_search(ideal: MonomialIdeal):
-    """Check the variable count, then return the pruned search of the stabilizer.
+def iter_stabilizer(ideal: MonomialIdeal) -> Iterator[tuple[int, ...]]:
+    """All variable permutations fixing the ideal, ascending lexicographically.
 
-    ``search(fixed)`` yields, ascending lexicographically, the variable
-    permutations that fix the ideal and send x0, x1, ... to ``fixed``.  It
-    picks the images of x0, x1, ... depth first: variable i may go to j only
-    when the exponent pairs (g[i], g[k]) over the generators form the same
-    multiset as (g[j], g[perm[k]]) for every k < i.  Interned as pair kinds,
-    those cuts are ANDs of bit masks over j, kept for every open position;
-    the one for k = 0 already gives x_i and x_j the same exponent multiset.
-    When each open position allows exactly the unused variables, and all the
-    pairs among those positions and variables are of one kind, every
-    arrangement of the unused variables passes the cuts: the subtree is
-    ``itertools.permutations`` of them.  A full assignment gets the exact
-    test, that the permuted generators are the generators, unless no
+    The variable count is checked when called; the permutations then stream
+    from a pruned search that picks the images of x0, x1, ... depth first:
+    variable i may go to j only when the exponent pairs (g[i], g[k]) over the
+    generators form the same multiset as (g[j], g[perm[k]]) for every k < i.
+    Interned as pair kinds, those cuts are ANDs of bit masks over j, kept for
+    every open position; the one for k = 0 already gives x_i and x_j the same
+    exponent multiset.  When each open position allows exactly the unused
+    variables, and all the pairs among those positions and variables are of
+    one kind, every arrangement of the unused variables passes the cuts: the
+    subtree is ``itertools.permutations`` of them.  A permutation gets the
+    exact test, that the permuted generators are the generators, unless no
     generator involves more than two variables: then the pair multisets
     already determine the generators.
     """
@@ -233,39 +254,12 @@ def _stabilizer_search(ideal: MonomialIdeal):
             if 0 not in rest:
                 yield from grow(prefix + (v,), rest, free ^ 1 << v)
 
-    def search(fixed: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
-        return grow((), tuple(1 << j for j in fixed) + (everyone,) * (n - len(fixed)), everyone)
-
-    return search
+    return grow((), (everyone,) * n, everyone)
 
 
 def stabilizer_order(ideal: MonomialIdeal) -> int:
-    """The number of variable permutations fixing the ideal, without listing them.
-
-    The order of a permutation group is the product of its basic orbit
-    sizes: the orbit of i under the permutations that fix 0..i-1 pointwise.
-    Such an orbit holds i itself, and each j > i for which the search finds
-    a permutation beginning (0, ..., i-1, j).  Those prefixes root disjoint
-    subtrees of the listing's search, so all the first-leaf searches
-    together visit no more than one listing does.
-    """
-    search = _stabilizer_search(ideal)
-    order = 1
-    for i in range(ideal.nvars):
-        fixed = tuple(range(i))
-        order *= 1 + sum(
-            next(search(fixed + (j,)), None) is not None for j in range(i + 1, ideal.nvars)
-        )
-    return order
-
-
-def iter_stabilizer(ideal: MonomialIdeal) -> Iterator[tuple[int, ...]]:
-    """All variable permutations fixing the ideal, ascending lexicographically.
-
-    They stream from the pruned search, which lists a subtree whose open
-    variables are all alike as the permutations of the unused images.
-    """
-    yield from _stabilizer_search(ideal)()
+    """The number of variable permutations fixing the ideal, counted off ``iter_stabilizer``."""
+    return sum(1 for _ in iter_stabilizer(ideal))
 
 
 def stabilizer(ideal: MonomialIdeal) -> list[tuple[int, ...]]:

@@ -22,8 +22,8 @@ from .relations import Preorder, Relation, _bits, bubbles, check_point_count, cl
 
 if TYPE_CHECKING:
     from .digraphs import Digraph
-    from .edgerings import BipartiteGraph, NamedIdeal, SimpleGraph
-    from .monomials import Monomial
+    from .edgerings import BipartiteGraph, SimpleGraph
+    from .monomials import Monomial, NamedIdeal
     from .patterns import RationalMatrix
     from .topology import FiniteTopology
 

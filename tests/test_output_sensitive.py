@@ -1,7 +1,7 @@
 """Output-sensitive answers against their brute-force oracles.
 
 ``stabilizer`` (a depth-first search cut by pair-kind masks, which lists a
-symmetric tail whole) and its order (the product of basic orbit sizes), the
+symmetric tail whole) and its order (the length of that listing), the
 path listings (a depth-first search pruned by the table of path counts) and
 ``is_cm_bipartite`` (the graph peeled to its one forced matching) are
 compared with the n! scan, the layer-by-layer path growth and the
@@ -202,6 +202,8 @@ class TestStabilizer:
             (5, list(itertools.combinations(range(5), 3))),
             # a 2-(6, 3, 2) design: every pair of points lies on two of the ten blocks
             (6, [(0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5), (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5)]),
+            # the 14 planes of AG(3, 2): the 4-sets of points of F2^3 that sum to 0
+            (8, [q for q in itertools.combinations(range(8), 4) if q[0] ^ q[1] ^ q[2] ^ q[3] == 0]),
         ]
         for nvars, blocks in designs:
             for _ in range(3):

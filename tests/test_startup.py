@@ -55,7 +55,7 @@ GROUP_CASES = [
     (("preorder", "enumerate", "--n", "3", "--count"), set(), set()),
     (("topology", "t0", "--input", "points: v,w; opens: {}, {w}, {v,w}"), {"topology"}, {"json"}),
     (("digraph", "preorder", "--input", "n=2; edges: a->b"), {"digraphs"}, {"json"}),
-    (("ideal", "preorder", "--gens", "x^2, y^2"), {"monomials", "edgerings"}, {"json"}),
+    (("ideal", "preorder", "--gens", "x^2, y^2"), {"monomials"}, {"json"}),
     (("pattern", "closed", "--rows", "10,11"), {"patterns", "topology"}, {"json", "fractions", "decimal"}),
     (
         ("pattern", "pre", "--matrices", "1,0;1,1"),
@@ -107,7 +107,7 @@ def _layers_used(fn, seen: set) -> set[str]:
 
 
 def test_each_group_declares_the_layers_its_handlers_use():
-    assert _layers_used(cli._cmd_ideal_preorder, set()) == {"monomials", "edgerings"}
+    assert _layers_used(cli._cmd_graph_dual, set()) == {"monomials", "edgerings"}
     for group, (_help, modules, leaves) in cli.GROUPS.items():
         for leaf, handler, _options in leaves:
             assert _layers_used(handler, set()) <= set(modules), (group, leaf)
