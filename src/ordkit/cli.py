@@ -102,12 +102,11 @@ def _named_ideal_from(text: str, cls: type[monomials.NamedIdeal]) -> monomials.N
 
 def _write_all(args, enumerate_all, render) -> int:
     """Every structure on ``--n`` points, one rendered per line, or their ``--count``."""
-    stream = enumerate_all(args.n)
-    if args.count:
-        sys.stdout.write(f"{sum(1 for _ in stream)}\n")
+    if args.count:  # finite topologies are the preorders' up-set families (Alexandroff)
+        sys.stdout.write(f"{sum(1 for _ in relations.enumerate_preorders(args.n))}\n")
         return 0
     names = ()
-    for item in stream:  # the first step checks the enumerator's own guard
+    for item in enumerate_all(args.n):  # the first step checks the enumerator's own guard
         names = names or textio.default_point_names(args.n)
         sys.stdout.write(render(item, names) + "\n")
     return 0
@@ -202,14 +201,10 @@ def _cmd_topology_t0(args) -> int:
 
 def _cmd_digraph_paths(args) -> int:
     q, names = textio.parse_digraph(_read_source(args))
-    if args.complete:
-        limit = None
-    elif args.max_length is None:
-        raise ParseError("give --max-length or --complete")
-    else:
-        limit = args.max_length
-    count = digraphs.count_paths(q, limit)
-    return _emit({"kind": "paths", "count": count, "paths": digraphs.path_rows(q, names, limit)})
+    if args.complete == (args.max_length is not None):
+        raise ParseError("give exactly one of --max-length or --complete")
+    count = digraphs.count_paths(q, args.max_length)
+    return _emit({"kind": "paths", "count": count, "paths": digraphs.path_rows(q, names, args.max_length)})
 
 
 def _cmd_digraph_homs(args) -> int:
@@ -289,7 +284,9 @@ def _cmd_ideal_to_upset(args) -> int:
 
 def _cmd_ideal_from_upset(args) -> int:
     chains = textio.parse_int_tuples(args.chains)
-    if args.vars:
+    if args.vars is not None and args.nvars is not None:
+        raise ParseError("give at most one of --vars or --nvars")
+    if args.vars is not None:
         names = tuple(textio.parse_names(args.vars, "variable"))
         nvars = len(names)
         if not names:
@@ -314,7 +311,7 @@ def _cmd_ideal_from_upset(args) -> int:
 def _parse_pattern_rows(text: str) -> patterns.PatternMatrix:
     rows = [row.strip() for row in text.split(",") if row.strip()]
     n = len(rows)
-    if any(len(row) != n or set(row) - {"0", "1"} for row in rows):
+    if not rows or any(len(row) != n or set(row) - {"0", "1"} for row in rows):
         raise ParseError("pattern rows must be equal-length strings of 0/1")
     return patterns.PatternMatrix(n, tuple(int(row[::-1], 2) for row in rows))
 
@@ -434,6 +431,8 @@ def _cmd_graph_co_letterplace(args) -> int:
     p, names = textio.parse_preorder(args.poset)
     if args.depth is not None and args.depth < 0:
         raise ParseError("depth must be a natural number")
+    if args.full_hom == (args.maps is not None):
+        raise ParseError("give exactly one of --maps or --full-hom")
     if args.full_hom:
         if args.depth is None:
             raise ParseError("--full-hom needs --depth")
@@ -441,8 +440,6 @@ def _cmd_graph_co_letterplace(args) -> int:
         names = edgerings._poset_names(p, names, "co_letterplace")
         ideal = edgerings.letterplace(p, chain, names, range(args.depth + 1))
         return _emit(_ideal_doc(ideal))
-    if args.maps is None:
-        raise ParseError("give --maps or --full-hom")
     maps = textio.parse_int_tuples(args.maps)
     return _emit(_ideal_doc(edgerings.co_letterplace(p, maps, args.depth, names)))
 

@@ -8,7 +8,6 @@ quotients and Hom-sets are then word-parallel row operations.
 
 from __future__ import annotations
 
-import os
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -17,14 +16,6 @@ from .errors import OrdkitError
 MAX_POINTS = 16
 ENUMERATION_CAP = 5
 CANONICAL_CAP = 8
-
-
-def _env_cap(stated: int) -> int:
-    """Enumeration guard, lowered (never raised) by ORDKIT_MAX_N."""
-    try:
-        return min(stated, int(os.environ["ORDKIT_MAX_N"]))
-    except (KeyError, ValueError):
-        return stated
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -345,9 +336,8 @@ def enumerate_preorders(n: int) -> Iterator[Preorder]:
     point k takes rows that hold k, lie inside each picked row holding k,
     and contain the row of each picked y they hold.
     """
-    cap = _env_cap(ENUMERATION_CAP)
-    if not 1 <= n <= cap:
-        raise OrdkitError("order-core", "enumerate_preorders", f"n={n} outside guard 1..{cap}")
+    if not 1 <= n <= ENUMERATION_CAP:
+        raise OrdkitError("order-core", "enumerate_preorders", f"n={n} outside guard 1..{ENUMERATION_CAP}")
     rows = [_string_key(v, n) for v in range(1 << n)]
     holds = [sum(1 << v for v, row in enumerate(rows) if row >> k & 1) for k in range(n)]
     inside = [sum(1 << v for v, row in enumerate(rows) if row & ~r == 0) for r in rows]

@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from typing import TYPE_CHECKING, Sequence, TextIO
 
 from .errors import OrdkitError
-from .relations import Preorder, Relation, _bits, bubbles, check_point_count, closure
+from .relations import Preorder, Relation, _bits, _transpose, bubbles, check_point_count, closure
 
 if TYPE_CHECKING:
     from .digraphs import Digraph
@@ -479,13 +479,11 @@ def render_hasse(p: Preorder, names: Sequence[str] | None = None) -> str:
     dec = bubbles(p)
     labels = [",".join(names[x] for x in block) for block in dec.blocks]
     q = dec.quotient
-    covers = []
-    for i, j in q.strict_pairs():
-        if not any(k != i and k != j and q.le(i, k) and q.le(k, j) for k in range(q.n)):
-            covers.append((i, j))
+    cols = _transpose(q.rows)
+    covers = [(i, j) for i, j in q.strict_pairs() if q.rows[i] & cols[j] == 1 << i | 1 << j]
     lines = ["digraph hasse {", "  rankdir=BT;"]
     lines.extend(f'  "{label}";' for label in labels)
-    lines.extend(f'  "{labels[i]}" -> "{labels[j]}";' for i, j in sorted(covers))
+    lines.extend(f'  "{labels[i]}" -> "{labels[j]}";' for i, j in covers)
     lines.append("}")
     return "\n".join(lines)
 

@@ -105,7 +105,7 @@ def enumerate_topologies(n: int) -> Iterator[FiniteTopology]:
     the families that its generators extend.  An up-set topology is generated
     by its principal up-sets, so that list is the distinct rows but the full one.
     Finite topologies are exactly these up-set families (Alexandroff 1937), so
-    the preorder stream's guard, which ``ORDKIT_MAX_N`` lowers, is the only one.
+    the preorder stream's guard is the only one, and its length is their count.
     """
     ordered = sorted(enumerate_preorders(n), key=lambda p: sorted(set(p.rows) - {(1 << p.n) - 1}))
     yield from map(from_preorder, ordered)

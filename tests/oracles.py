@@ -10,8 +10,10 @@ columns, ``has_cycle`` is the three-colour depth-first search that
 Kahn's source peeling replaced, ``check_galois_connection`` tests every
 pair of points where ``ordkit`` tests the unit and the counit,
 ``validate`` closes every pair of opens where ``ordkit`` joins each open
-with the minimal opens, and ``is_strongly_stable`` moves exponent to every
-larger variable where ``ordkit`` tests the adjacent transfers.
+with the minimal opens, ``is_strongly_stable`` moves exponent to every
+larger variable where ``ordkit`` tests the adjacent transfers, and
+``hasse_covers`` looks for a third point between each pair where
+``ordkit`` ANDs a row with a column.
 """
 
 from __future__ import annotations
@@ -99,6 +101,15 @@ def bubbles(p: Preorder) -> BubbleDecomposition:
     rows = tuple(sum(1 << j for j, rj in enumerate(reps) if p.le(ri, rj)) for ri in reps)
     quotient = Preorder(len(blocks), rows)
     return BubbleDecomposition(tuple(blocks), quotient)
+
+
+def hasse_covers(q: Preorder) -> list[tuple[int, int]]:
+    """Strict pairs i < j of a partial order with no third point k, i < k < j."""
+    return [
+        (i, j)
+        for i, j in q.strict_pairs()
+        if not any(k != i and k != j and q.le(i, k) and q.le(k, j) for k in range(q.n))
+    ]
 
 
 def up_sets(p: Preorder) -> list[int]:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ordkit
+from ordkit import relations, topology
 from ordkit.cli import main
 from ordkit.relations import Preorder, enumerate_preorders, monotone_maps
 from ordkit.textio import (
@@ -97,15 +98,32 @@ class TestPreorderCommands:
         assert run(capsys, group, "enumerate", "--n", n, "--count") == (1, "", err)
 
     def test_env_guard_lowers_enumeration(self, capsys, monkeypatch):
-        monkeypatch.setenv("ORDKIT_MAX_N", "2")
+        monkeypatch.setattr(relations, "ENUMERATION_CAP", 2)
         code, _, err = run(capsys, "preorder", "enumerate", "--n", "3", "--count")
         assert code == 1 and err.startswith("ERR order-core.enumerate_preorders:")
+
+    def test_environment_does_not_change_the_guard(self, capsys, monkeypatch):
+        monkeypatch.setenv("ORDKIT_MAX_N", "2")
+        assert run(capsys, "preorder", "enumerate", "--n", "3", "--count") == (0, "29\n", "")
 
 
 class TestTopologyCommands:
     def test_enumerate_count(self, capsys):
         code, out, _ = run(capsys, "topology", "enumerate", "--n", "3", "--count")
         assert (code, out) == (0, "29\n")
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_count_is_the_preorder_count(self, capsys, k):
+        expected = f"{len(list(oracles.enumerate_topologies(k)))}\n"
+        assert run(capsys, "topology", "enumerate", "--n", str(k), "--count") == (0, expected, "")
+        assert run(capsys, "preorder", "enumerate", "--n", str(k), "--count") == (0, expected, "")
+
+    def test_count_builds_no_topology(self, capsys, monkeypatch):
+        def refuse(p):
+            raise AssertionError("--count built a topology")
+
+        monkeypatch.setattr(topology, "from_preorder", refuse)
+        assert run(capsys, "topology", "enumerate", "--n", "4", "--count") == (0, "355\n", "")
 
     def test_enumerate_five_points_renders_the_oracle_listing(self, capsys):
         code, out, err = run(capsys, "topology", "enumerate", "--n", "5")
@@ -226,6 +244,10 @@ class TestDigraphCommands:
         code, out, err = run(capsys, "digraph", "paths", "--complete", "--input", text)
         assert (code, out, err) == (2, "", "parse error: duplicate edge label names\n")
 
+    def test_zero_max_length_lists_the_empty_paths(self, capsys):
+        code, out, err = run(capsys, "digraph", "paths", "--input", "n=1; edges: a->a", "--max-length", "0")
+        assert (code, err) == (0, "") and parse_document(out)["count"] == 1
+
 
 class TestIdealCommands:
     def test_associated_preorder_of_pure_squares_is_discrete(self, capsys):
@@ -268,6 +290,10 @@ class TestIdealCommands:
 
     def test_from_upset_rejects_vars_without_names(self, capsys):
         code, out, err = run(capsys, "ideal", "from-upset", "--vars", " , ", "--chains", "0,1")
+        assert (code, out, err) == (2, "", "parse error: --vars names no variables\n")
+
+    def test_from_upset_rejects_empty_vars(self, capsys):
+        code, out, err = run(capsys, "ideal", "from-upset", "--chains", "0,1", "--vars", "")
         assert (code, out, err) == (2, "", "parse error: --vars names no variables\n")
 
     @pytest.mark.parametrize("chains", ["1,2", ""])
@@ -356,6 +382,11 @@ class TestPatternCommands:
     def test_closed(self, capsys):
         _, out, _ = run(capsys, "pattern", "closed", "--rows", "110,010,001")
         assert parse_document(out)["value"] is True
+
+    @pytest.mark.parametrize("rows", ["", ","])
+    def test_closed_without_rows_is_a_grammar_error(self, capsys, rows):
+        code, out, err = run(capsys, "pattern", "closed", "--rows", rows)
+        assert (code, out, err) == (2, "", "parse error: pattern rows must be equal-length strings of 0/1\n")
 
     def test_membership_singular_is_domain_error(self, capsys):
         code, _, err = run(
@@ -573,6 +604,26 @@ class TestGraphCommands:
             full = run(capsys, *common, "--full-hom")
             assert full == run(capsys, *common, "--maps", maps), (text, depth)
         assert full == (1, "", "ERR edge-rings.co_letterplace: preorder is not antisymmetric\n")
+
+    @pytest.mark.parametrize(
+        "argv, rule",
+        [
+            (("digraph", "paths", "--input", "n=1; edges: a->a", "--max-length", "2", "--complete"),
+             "exactly one of --max-length or --complete"),
+            (("digraph", "paths", "--input", "n=1; edges: a->a"), "exactly one of --max-length or --complete"),
+            (("graph", "co-letterplace", "--poset", "n=2", "--maps", "0,0", "--full-hom", "--depth", "1"),
+             "exactly one of --maps or --full-hom"),
+            (("graph", "co-letterplace", "--poset", "n=2", "--depth", "1"), "exactly one of --maps or --full-hom"),
+            (("ideal", "from-upset", "--chains", "0,1", "--vars", "a,b", "--nvars", "5"),
+             "at most one of --vars or --nvars"),
+            (("ideal", "from-upset", "--chains", "0,1", "--vars", "", "--nvars", "0"),
+             "at most one of --vars or --nvars"),
+            (("graph", "dim", "--gens", "x^2", "--poset", "n=1"), "exactly one of --gens or --poset"),
+            (("graph", "dim"), "exactly one of --gens or --poset"),
+        ],
+    )
+    def test_alternative_options_are_given_exactly_once(self, capsys, argv, rule):
+        assert run(capsys, *argv) == (2, "", f"parse error: give {rule}\n")
 
     @pytest.mark.parametrize("source", [("--full-hom",), ("--maps", "0,1;0,0")])
     def test_co_letterplace_negative_depth_is_usage_error(self, capsys, source):

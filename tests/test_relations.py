@@ -291,7 +291,7 @@ class TestEnumeration:
             list(enumerate_preorders(6))
 
     def test_env_var_lowers_guard(self, monkeypatch):
-        monkeypatch.setenv("ORDKIT_MAX_N", "2")
+        monkeypatch.setattr(relations, "ENUMERATION_CAP", 2)
         with pytest.raises(OrdkitError):
             list(enumerate_preorders(3))
         assert sum(1 for _ in enumerate_preorders(2)) == 4

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from ordkit.digraphs import Digraph, Edge
 from ordkit.edgerings import BipartiteGraph, SimpleGraph
 from ordkit.errors import OrdkitError
-from ordkit.relations import Preorder, Relation, closure
+from ordkit.relations import Preorder, Relation, closure, enumerate_preorders
 from ordkit.textio import (
     ParseError,
     document_text,
@@ -384,6 +385,25 @@ class TestDiagrams:
         out = render_hasse(Preorder.chain(3), ("a", "b", "c"))
         assert '"a" -> "b";' in out and '"b" -> "c";' in out
         assert '"a" -> "c";' not in out
+
+    @staticmethod
+    def _oracle_hasse(p, names):
+        dec = oracles.bubbles(p)
+        labels = [",".join(names[x] for x in block) for block in dec.blocks]
+        lines = ["digraph hasse {", "  rankdir=BT;", *(f'  "{label}";' for label in labels)]
+        lines += [f'  "{labels[i]}" -> "{labels[j]}";' for i, j in oracles.hasse_covers(dec.quotient)]
+        return "\n".join(lines + ["}"])
+
+    def test_covers_match_the_third_point_oracle(self):
+        rng = random.Random(29)
+        cases = [p for n in range(1, 6) for p in enumerate_preorders(n)]
+        for _ in range(2000):
+            n, density = rng.randint(6, 16), rng.choice((0.05, 0.1, 0.2, 0.35))
+            pairs = [(x, y) for x in range(n) for y in range(n) if rng.random() < density / 2]
+            cases.append(Preorder.from_pairs(n, pairs))
+        for p in cases:
+            names = [f"p{x}" for x in range(p.n)]
+            assert render_hasse(p, names) == self._oracle_hasse(p, names), p
 
 
 class TestDocuments:

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from ordkit import relations
 from ordkit.errors import OrdkitError
 from ordkit.relations import Preorder, classify, enumerate_preorders, refines, up_sets
 from ordkit.topology import (
@@ -236,7 +237,7 @@ class TestEnumeration:
             list(enumerate_topologies(6))
 
     def test_env_var_lowers_guard(self, monkeypatch):
-        monkeypatch.setenv("ORDKIT_MAX_N", "2")
+        monkeypatch.setattr(relations, "ENUMERATION_CAP", 2)
         with pytest.raises(OrdkitError):
             list(enumerate_topologies(3))
 
