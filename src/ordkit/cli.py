@@ -88,6 +88,12 @@ def _read_source(args, attr: str = "input", file_attr: str = "file") -> str:
     return inline
 
 
+def _natural(value, name):
+    if value is not None and value < 0:
+        raise ParseError(f"{name} must be a natural number")
+    return value
+
+
 def _preorder_from(args) -> tuple[Preorder, tuple[str, ...]]:
     return textio.parse_preorder(_read_source(args), close=not args.no_close)
 
@@ -203,18 +209,25 @@ def _cmd_digraph_paths(args) -> int:
     q, names = textio.parse_digraph(_read_source(args))
     if args.complete == (args.max_length is not None):
         raise ParseError("give exactly one of --max-length or --complete")
-    count = digraphs.count_paths(q, args.max_length)
-    return _emit({"kind": "paths", "count": count, "paths": digraphs.path_rows(q, names, args.max_length)})
+    return _emit_paths(args, "paths", q, names)
 
 
 def _cmd_digraph_homs(args) -> int:
     q, names = textio.parse_digraph(_read_source(args))
     index = textio._index(names, "vertex")
-    source = textio._lookup(index, args.source, "vertex")
-    target = textio._lookup(index, args.target, "vertex")
-    count = digraphs.count_hom_paths(q, source, target, args.max_length)
-    rows = digraphs.path_rows(q, names, args.max_length, source, target)
-    return _emit({"kind": "hom-paths", "count": count, "paths": rows})
+    ends = [textio._lookup(index, name, "vertex") for name in (args.source, args.target)]
+    return _emit_paths(args, "hom-paths", q, names, *ends)
+
+
+def _emit_paths(args, kind, q, names, *ends) -> int:
+    limit = _natural(args.max_length, "max-length")
+    return _emit(
+        {
+            "kind": kind,
+            "count": digraphs.count_paths(q, limit, *ends),
+            "paths": digraphs.path_rows(q, names, limit, *ends),
+        }
+    )
 
 
 def _cmd_digraph_preorder(args) -> int:
@@ -293,13 +306,11 @@ def _cmd_ideal_from_upset(args) -> int:
             raise ParseError("--vars names no variables")
         textio._index(names, "variable")
     else:
-        nvars = args.nvars
+        nvars = _natural(args.nvars, "nvars")
         if nvars is None:
             if not chains:
                 raise ParseError("give --nvars or --vars for the empty up-set")
             nvars = len(chains[0])
-        elif nvars < 0:
-            raise ParseError("nvars must be a natural number")
         names = tuple(f"x{i}" for i in range(nvars))
     ideal = monomials.upset_to_ss(chains, nvars)
     return _emit(_ideal_doc(monomials.NamedIdeal(names, ideal)))
@@ -429,19 +440,18 @@ def _cmd_graph_letterplace(args) -> int:
 
 def _cmd_graph_co_letterplace(args) -> int:
     p, names = textio.parse_preorder(args.poset)
-    if args.depth is not None and args.depth < 0:
-        raise ParseError("depth must be a natural number")
+    depth = _natural(args.depth, "depth")
     if args.full_hom == (args.maps is not None):
         raise ParseError("give exactly one of --maps or --full-hom")
     if args.full_hom:
-        if args.depth is None:
+        if depth is None:
             raise ParseError("--full-hom needs --depth")
-        chain = Preorder.chain(args.depth + 1)
+        chain = Preorder.chain(depth + 1)
         names = edgerings._poset_names(p, names, "co_letterplace")
-        ideal = edgerings.letterplace(p, chain, names, range(args.depth + 1))
+        ideal = edgerings.letterplace(p, chain, names, range(depth + 1))
         return _emit(_ideal_doc(ideal))
     maps = textio.parse_int_tuples(args.maps)
-    return _emit(_ideal_doc(edgerings.co_letterplace(p, maps, args.depth, names)))
+    return _emit(_ideal_doc(edgerings.co_letterplace(p, maps, depth, names)))
 
 
 def _cmd_graph_dual(args) -> int:
@@ -472,9 +482,7 @@ def _chain_map(spec: str, c: Preorder) -> MonotoneMap:
 
 
 def _cmd_galois_check(args) -> int:
-    d = args.truncation
-    if d < 0:
-        raise ParseError("truncation must be a natural number")
+    d = _natural(args.truncation, "truncation")
     c = Preorder.chain(d + 1)
     f = _chain_map(args.left, c)
     g = _chain_map(args.right, c)

@@ -194,7 +194,7 @@ def _walk(
 def path_rows(
     q: Digraph, names: Sequence[str], limit: int | None, source: int | None = None, target: int | None = None
 ):
-    """``iter_hom_paths`` as the CLI's rows ``{"end", "labels", "start", "word"}``, in a row function.
+    """``iter_paths`` as the CLI's rows ``{"end", "labels", "start", "word"}``, in a row function.
 
     A row function is what ``_jsonwriter.write_json`` takes for an array.
     ``_walk`` carries each edge as its label quoted for JSON, less the
@@ -219,25 +219,37 @@ def path_rows(
     return rows
 
 
-def count_paths(q: Digraph, limit: int | None = None) -> int:
+def _bound(q: Digraph, limit: int | None, source: int | None, target: int | None) -> int | None:
+    """The checked length bound, or None when a given endpoint is not a vertex, so no path ends there."""
+    limit = _limit(q, limit)
+    return limit if all(v is None or 0 <= v < q.n for v in (source, target)) else None
+
+
+def count_paths(
+    q: Digraph, limit: int | None = None, source: int | None = None, target: int | None = None
+) -> int:
     """The number of paths ``iter_paths`` lists, from the ``_ways`` rows alone."""
-    return sum(sum(row.values()) for row in _ways(q, _limit(q, limit)))
+    limit = _bound(q, limit, source, target)
+    if limit is None:
+        return 0
+    rows = _ways(q, limit, source, target)
+    return sum(sum(row.values()) if source is None else row.get(source, 0) for row in rows)
 
 
-def iter_paths(q: Digraph, limit: int | None = None) -> Iterator[Path]:
-    """All paths with at most ``limit`` edges, every path (acyclic only) when None.
+def iter_paths(
+    q: Digraph, limit: int | None = None, source: int | None = None, target: int | None = None
+) -> Iterator[Path]:
+    """The paths with at most ``limit`` edges, every path (acyclic only) when None.
 
-    The empty paths come first, one per vertex, then the paths of one edge,
-    and so on; paths of one length are in lexicographic order of their
-    start and their edges.
+    Only the paths from ``source`` and to ``target`` are listed, where given.
+    The empty paths come first, then the paths of one edge, and so on;
+    paths of one length are in lexicographic order of their start and their
+    edges.
     """
-    # every path found is valid by construction
-    yield from (Path._trusted(start, edges) for start, _, edges in _walk(q, _limit(q, limit)))
-
-
-def paths_up_to_length(q: Digraph, limit: int) -> list[Path]:
-    """All paths with at most ``limit`` edges, one empty path per vertex first."""
-    return list(iter_paths(q, limit))
+    limit = _bound(q, limit, source, target)
+    if limit is not None:
+        # every path found is valid by construction
+        yield from (Path._trusted(start, edges) for start, _, edges in _walk(q, limit, source, target))
 
 
 def all_paths(q: Digraph) -> list[Path]:
@@ -245,27 +257,9 @@ def all_paths(q: Digraph) -> list[Path]:
     return list(iter_paths(q))
 
 
-def count_hom_paths(q: Digraph, a: int, b: int, limit: int | None = None) -> int:
-    """The number of paths ``iter_hom_paths`` lists, from the ``_ways`` rows alone."""
-    limit = _limit(q, limit)
-    if not (0 <= a < q.n and 0 <= b < q.n):
-        return 0
-    return sum(row.get(a, 0) for row in _ways(q, limit, a, b))
-
-
-def iter_hom_paths(q: Digraph, a: int, b: int, limit: int | None = None) -> Iterator[Path]:
-    """Paths from a to b, length-bounded or complete (acyclic only) when limit is None.
-
-    Listed by length, each length in ``iter_paths`` order.
-    """
-    limit = _limit(q, limit)
-    if 0 <= a < q.n and 0 <= b < q.n:
-        yield from (Path._trusted(start, edges) for start, _, edges in _walk(q, limit, a, b))
-
-
 def hom_paths(q: Digraph, a: int, b: int, limit: int | None = None) -> list[Path]:
-    """``iter_hom_paths`` as a list."""
-    return list(iter_hom_paths(q, a, b, limit))
+    """The paths from a to b that ``iter_paths`` lists, as a list."""
+    return list(iter_paths(q, limit, a, b))
 
 
 def reachability_preorder(q: Digraph) -> Preorder:

@@ -516,9 +516,3 @@ def document_text(doc) -> str:
     batches: list[str] = []
     write_json(doc, batches.append)
     return "".join(batches)
-
-
-def parse_document(text: str):
-    from json import loads
-
-    return loads(text)

@@ -33,12 +33,13 @@ class FiniteTopology(Record):
 def validate(family: Iterable[int], n: int) -> FiniteTopology:
     """Check the three topology axioms, reporting the first violated one.
 
-    The opens holding x, met in ascending order, give the minimal open U_x
-    unless a running meet leaves the family, which names the intersection
-    witness.  Every open is the union of the U_x of its points (Alexandroff
-    1937), so the family is a topology exactly when it also holds
-    ``u | U_x`` for each open u and point x not in u; the first it lacks
-    names the union witness.  Both passes take n steps per open.
+    The minimal open U_x is read as the least open holding x, so it must lie
+    inside every open holding x; the first that it does not names the
+    intersection witness, since their meet is a smaller open holding x.
+    Every open is the union of the U_x of its points (Alexandroff 1937), so
+    the family is a topology exactly when it also holds ``u | U_x`` for each
+    open u and point x not in u; the first it lacks names the union witness.
+    Both passes take n steps per open.
     """
     opens = sorted(set(family))
     full = (1 << n) - 1
@@ -49,15 +50,11 @@ def validate(family: Iterable[int], n: int) -> FiniteTopology:
     if full not in opens:
         raise OrdkitError("finite-topology", "validate", "missing full set")
     t = FiniteTopology(n, tuple(opens))
-    members, minimal = set(opens), []
-    for x in range(n):
-        meet = full
+    members, minimal = set(opens), [minimal_open(t, x) for x in range(n)]
+    for x, least in enumerate(minimal):
         for u in opens:
-            if u >> x & 1:
-                if meet & u not in members:
-                    raise _not_closed("intersection", meet, u)
-                meet &= u
-        minimal.append(meet)
+            if u >> x & 1 and least & ~u:
+                raise _not_closed("intersection", least, u)
     for u in opens:
         for x in range(n):
             if not u >> x & 1 and u | minimal[x] not in members:
@@ -79,12 +76,11 @@ def from_preorder(p: Preorder) -> FiniteTopology:
 
 
 def minimal_open(t: FiniteTopology, x: int) -> int:
-    """Intersection of all opens containing ``x``."""
-    out = (1 << t.n) - 1
-    for mask in t.opens:
-        if mask >> x & 1:
-            out &= mask
-    return out
+    """The minimal open U_x: it lies inside every open holding ``x``, so it is the first of them.
+
+    A record whose opens all miss ``x`` gives the full set, the meet of no opens.
+    """
+    return next((u for u in t.opens if u >> x & 1), (1 << t.n) - 1)
 
 
 def to_preorder(t: FiniteTopology) -> Preorder:

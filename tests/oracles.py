@@ -10,7 +10,8 @@ columns, ``has_cycle`` is the three-colour depth-first search that
 Kahn's source peeling replaced, ``check_galois_connection`` tests every
 pair of points where ``ordkit`` tests the unit and the counit,
 ``validate`` closes every pair of opens where ``ordkit`` joins each open
-with the minimal opens, ``is_strongly_stable`` moves exponent to every
+with the minimal opens, ``minimal_open`` meets every open holding a point
+where ``ordkit`` takes the least one, ``is_strongly_stable`` moves exponent to every
 larger variable where ``ordkit`` tests the adjacent transfers, and
 ``hasse_covers`` looks for a third point between each pair where
 ``ordkit`` ANDs a row with a column.
@@ -212,6 +213,15 @@ def validate(family, n: int) -> FiniteTopology:
                         f"not closed under {word}: witness pair {_set_text(u)}, {_set_text(v)}",
                     )
     return FiniteTopology(n, tuple(opens))
+
+
+def minimal_open(t: FiniteTopology, x: int) -> int:
+    """Intersection of all opens containing ``x``."""
+    out = (1 << t.n) - 1
+    for mask in t.opens:
+        if mask >> x & 1:
+            out &= mask
+    return out
 
 
 def orbit(p: Preorder) -> set[int]:

@@ -14,7 +14,6 @@ from ordkit.cli import main
 from ordkit.relations import Preorder, enumerate_preorders, monotone_maps
 from ordkit.textio import (
     default_point_names,
-    parse_document,
     parse_preorder,
     render_preorder,
     render_topology,
@@ -41,7 +40,7 @@ class TestPreorderCommands:
 
     def test_classify_document(self, capsys):
         code, out, _ = run(capsys, "preorder", "classify", "--input", "n=2; pairs: v<=w")
-        doc = parse_document(out)
+        doc = json.loads(out)
         assert code == 0
         assert doc["flags"] == {
             "partial_order": True,
@@ -53,18 +52,18 @@ class TestPreorderCommands:
 
     def test_bubbles_document(self, capsys):
         code, out, _ = run(capsys, "preorder", "bubbles", "--input", "n=3; pairs: x<=y, y<=x")
-        doc = parse_document(out)
+        doc = json.loads(out)
         assert doc["blocks"] == [["x", "y"], ["z"]]
 
     def test_upsets_document(self, capsys):
         code, out, _ = run(capsys, "preorder", "upsets", "--input", "n=2; pairs: v<=w")
-        doc = parse_document(out)
+        doc = json.loads(out)
         assert doc["count"] == 3 and doc["opens"] == [[], ["w"], ["v", "w"]]
 
     def test_canon_is_permutation_invariant(self, capsys):
         _, out1, _ = run(capsys, "preorder", "canon", "--input", "n=2; pairs: v<=w")
         _, out2, _ = run(capsys, "preorder", "canon", "--input", "n=2; pairs: w<=v")
-        assert parse_document(out1)["encoding"] == parse_document(out2)["encoding"]
+        assert json.loads(out1)["encoding"] == json.loads(out2)["encoding"]
 
     def test_hasse_dot_output(self, capsys):
         code, out, _ = run(capsys, "preorder", "hasse", "--input", "n=2; pairs: v<=w")
@@ -141,16 +140,16 @@ class TestTopologyCommands:
 
     def test_from_and_to_preorder(self, capsys):
         _, out, _ = run(capsys, "topology", "from-preorder", "--input", "n=2; pairs: v<=w")
-        doc = parse_document(out)
+        doc = json.loads(out)
         assert doc["opens"] == [[], ["w"], ["v", "w"]]
         _, out, _ = run(
             capsys, "topology", "to-preorder", "--input", "points: v,w; opens: {},{w},{v,w}"
         )
-        assert parse_document(out)["pairs"] == [["v", "w"]]
+        assert json.loads(out)["pairs"] == [["v", "w"]]
 
     def test_t0(self, capsys):
         _, out, _ = run(capsys, "topology", "t0", "--input", "points: v,w; opens: {},{v,w}")
-        assert parse_document(out)["value"] is False
+        assert json.loads(out)["value"] is False
 
 
 class TestDigraphCommands:
@@ -158,14 +157,14 @@ class TestDigraphCommands:
 
     def test_paths_count_nine(self, capsys):
         _, out, _ = run(capsys, "digraph", "paths", "--input", self.EXAMPLE, "--complete")
-        doc = parse_document(out)
+        doc = json.loads(out)
         assert doc["count"] == 9
 
     def test_homs_a_to_c(self, capsys):
         _, out, _ = run(
             capsys, "digraph", "homs", "--input", self.EXAMPLE, "--source", "a", "--target", "c"
         )
-        doc = parse_document(out)
+        doc = json.loads(out)
         assert doc["count"] == 3
         assert sorted(p["word"] for p in doc["paths"]) == ["eg", "fg", "h"]
 
@@ -187,15 +186,24 @@ class TestDigraphCommands:
         [
             (["homs", "--input", "n=2; edges: a->b:u, b->a:v", "--source", "a", "--target", "b"],
              "directed cycle found"),
-            (["paths", "--input", EXAMPLE, "--max-length", "-1"], "negative length bound"),
-            (["homs", "--input", EXAMPLE, "--source", "a", "--target", "c", "--max-length", "-1"],
-             "negative length bound"),
         ],
     )
     def test_listing_errors_come_before_any_output(self, capsys, argv, message):
         code, out, err = run(capsys, "digraph", *argv)
         assert (code, out) == (1, "")
         assert err.startswith(f"ERR digraph-paths.paths: {message}")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["paths", "--input", EXAMPLE, "--max-length", "-1"],
+            ["homs", "--input", EXAMPLE, "--source", "a", "--target", "c", "--max-length", "-1"],
+        ],
+        ids=["paths", "homs"],
+    )
+    def test_negative_max_length_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "digraph", *argv)
+        assert (code, out, err) == (2, "", "parse error: max-length must be a natural number\n")
 
     def test_homs_past_a_cycle_the_source_cannot_reach_finish(self):
         # c loops and reaches b, but a does not reach c: one path, whatever the bound.
@@ -209,12 +217,12 @@ class TestDigraphCommands:
             env={**os.environ, "PYTHONPATH": str(Path(ordkit.__file__).parents[1])},
         )
         assert (proc.returncode, proc.stderr) == (0, "")
-        doc = parse_document(proc.stdout)
+        doc = json.loads(proc.stdout)
         assert doc["count"] == 1 and [p["word"] for p in doc["paths"]] == ["u"]
 
     def test_reachability_preorder(self, capsys):
         _, out, _ = run(capsys, "digraph", "preorder", "--input", self.EXAMPLE)
-        doc = parse_document(out)
+        doc = json.loads(out)
         assert doc["pairs"] == [["a", "b"], ["a", "c"], ["b", "c"]]
 
     def test_reachability_preorder_point_count_is_its_own_error(self, capsys):
@@ -246,33 +254,33 @@ class TestDigraphCommands:
 
     def test_zero_max_length_lists_the_empty_paths(self, capsys):
         code, out, err = run(capsys, "digraph", "paths", "--input", "n=1; edges: a->a", "--max-length", "0")
-        assert (code, err) == (0, "") and parse_document(out)["count"] == 1
+        assert (code, err) == (0, "") and json.loads(out)["count"] == 1
 
 
 class TestIdealCommands:
     def test_associated_preorder_of_pure_squares_is_discrete(self, capsys):
         code, out, _ = run(capsys, "ideal", "preorder", "--gens", "x^2,y^2")
-        doc = parse_document(out)
+        doc = json.loads(out)
         assert doc["pairs"] == [] and doc["points"] == ["x", "y"]
 
     def test_strongly_stable(self, capsys):
         _, out, _ = run(capsys, "ideal", "strongly-stable", "--gens", "x^2, x*y, y^3")
-        assert parse_document(out)["value"] is True
+        assert json.loads(out)["value"] is True
 
     def test_most_degenerate(self, capsys):
         _, out, _ = run(capsys, "ideal", "most-degenerate", "--gens", "x^2, y^2")
-        assert parse_document(out)["value"] is False
+        assert json.loads(out)["value"] is False
 
     def test_stabilizer(self, capsys):
         _, out, _ = run(capsys, "ideal", "stabilizer", "--gens", "x^2, y^2")
-        doc = parse_document(out)
+        doc = json.loads(out)
         assert doc["count"] == 2
 
     def test_upset_round_trip(self, capsys):
         _, out, _ = run(capsys, "ideal", "to-upset", "--gens", "x^2, x*y, y^3")
-        chains = parse_document(out)["text"]
+        chains = json.loads(out)["text"]
         _, out, _ = run(capsys, "ideal", "from-upset", "--chains", chains, "--vars", "x,y")
-        assert parse_document(out)["generators"] == ["y^3", "x*y", "x^2"]
+        assert json.loads(out)["generators"] == ["y^3", "x*y", "x^2"]
 
     @pytest.mark.parametrize("names, bad", [("x y,z", "x y"), ("A,,b", "A"), ("x,y-z", "y-z")])
     def test_from_upset_rejects_bad_variable_names(self, capsys, names, bad):
@@ -310,7 +318,7 @@ class TestIdealCommands:
 
     def test_from_upset_skips_empty_variable_entries(self, capsys):
         _, out, _ = run(capsys, "ideal", "from-upset", "--chains", "0,1", "--vars", " x,, y ")
-        assert parse_document(out)["vars"] == ["x", "y"]
+        assert json.loads(out)["vars"] == ["x", "y"]
 
     @staticmethod
     def _from_upset(chains, nvars):
@@ -327,20 +335,20 @@ class TestIdealCommands:
     def test_from_upset_of_two_degrees_finishes(self):
         proc = self._from_upset("0,0,0,0,25; 0,0,0,3,24", 5)
         assert (proc.returncode, proc.stderr) == (0, "")
-        assert len(parse_document(proc.stdout)["generators"]) == 20475
+        assert len(json.loads(proc.stdout)["generators"]) == 20475
 
     @pytest.mark.parametrize("ks", [range(400, -1, -1), range(401)], ids=["descending", "ascending"])
     def test_from_upset_of_many_degrees_finishes(self, ks):
         proc = self._from_upset("; ".join(f"{k},{897 - k}" for k in ks), 2)
         assert (proc.returncode, proc.stderr) == (0, "")
-        assert len(parse_document(proc.stdout)["generators"]) == 498
+        assert len(json.loads(proc.stdout)["generators"]) == 498
 
     def test_from_upset_of_a_far_point_over_a_diagonal_finishes(self):
         # Each move is tested against the two minimal listed points, not all 401.
         chains = "; ".join(["0,20000"] + [f"{c},{c}" for c in range(19600, 20000)])
         proc = self._from_upset(chains, 2)
         assert (proc.returncode, proc.stderr) == (0, "")
-        assert len(parse_document(proc.stdout)["generators"]) == 19601
+        assert len(json.loads(proc.stdout)["generators"]) == 19601
 
     @pytest.mark.parametrize("chains, nvars", [("0,0,0,0,400", 5), ("0,99999999999999999999", 2)])
     def test_from_upset_guard_comes_before_any_output(self, chains, nvars):
@@ -351,7 +359,7 @@ class TestIdealCommands:
     def test_from_upset_of_one_huge_variable_finishes(self):
         proc = self._from_upset("99999999999999999999", 1)
         assert (proc.returncode, proc.stderr) == (0, "")
-        assert parse_document(proc.stdout)["generators"] == ["x0^99999999999999999999"]
+        assert json.loads(proc.stdout)["generators"] == ["x0^99999999999999999999"]
 
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "ideal", "preorder", "--gens", "x^^2")
@@ -377,11 +385,11 @@ class TestPatternCommands:
             "--input",
             "n=3; pairs: z<=y, y<=x",
         )
-        assert parse_document(out)["rows"] == ["111", "011", "001"]
+        assert json.loads(out)["rows"] == ["111", "011", "001"]
 
     def test_closed(self, capsys):
         _, out, _ = run(capsys, "pattern", "closed", "--rows", "110,010,001")
-        assert parse_document(out)["value"] is True
+        assert json.loads(out)["value"] is True
 
     @pytest.mark.parametrize("rows", ["", ","])
     def test_closed_without_rows_is_a_grammar_error(self, capsys, rows):
@@ -403,14 +411,14 @@ class TestPatternCommands:
     def test_invariant_and_pre(self, capsys):
         mats = "1,0,0;0,0,1;0,1,0 | 0,1,0;1,0,0;0,0,1"
         _, out, _ = run(capsys, "pattern", "invariant", "--matrices", mats)
-        assert parse_document(out)["opens"] == [[], ["x", "y", "z"]]
+        assert json.loads(out)["opens"] == [[], ["x", "y", "z"]]
         _, out, _ = run(capsys, "pattern", "pre", "--matrices", mats)
-        assert len(parse_document(out)["pairs"]) == 6
+        assert len(json.loads(out)["pairs"]) == 6
 
     def test_points_are_checked_names(self, capsys):
         for leaf in ("invariant", "pre"):
             _, out, _ = run(capsys, "pattern", leaf, "--matrices", "1,1;0,1", "--points", " b , a,")
-            assert parse_document(out)["points"] == ["b", "a"]
+            assert json.loads(out)["points"] == ["b", "a"]
             cases = {
                 "a, a": "parse error: duplicate point names\n",
                 "A,": "parse error: bad point name 'A'\n",
@@ -438,7 +446,7 @@ class TestPatternCommands:
 class TestGraphCommands:
     def test_edge_ideal(self, capsys):
         _, out, _ = run(capsys, "graph", "edge-ideal", "--edges", "a-b,b-c,c-d")
-        assert parse_document(out)["generators"] == ["c*d", "b*c", "a*b"]
+        assert json.loads(out)["generators"] == ["c*d", "b*c", "a*b"]
 
     def test_cm_bipartite_witness(self, capsys):
         code, out, _ = run(
@@ -450,7 +458,7 @@ class TestGraphCommands:
             "--parts",
             "a,c|b,d",
         )
-        doc = parse_document(out)
+        doc = json.loads(out)
         assert doc["cohen_macaulay"] is True
         assert doc["matching"] == {"a": "b", "c": "d"}
         assert doc["poset"] == "n=2; points: a,c; pairs: c<=a"
@@ -465,7 +473,7 @@ class TestGraphCommands:
             "--parts",
             "a,c|b,d",
         )
-        assert parse_document(out)["cohen_macaulay"] is False
+        assert json.loads(out)["cohen_macaulay"] is False
 
     def test_cm_bipartite_sixteen_point_chain_with_side_b_shuffled(self, capsys):
         a_side, b_side = [f"a{i}" for i in range(16)], [f"b{i}" for i in range(16)]
@@ -473,7 +481,7 @@ class TestGraphCommands:
         edges = ", ".join(f"a{i}-b{j}" for i in range(16) for j in range(i, 16))
         text = f"A: {','.join(a_side)} | B: {','.join(shuffled)} | edges: {edges}"
         code, out, err = run(capsys, "graph", "cm-bipartite", "--input", text)
-        doc = parse_document(out)
+        doc = json.loads(out)
         assert (code, err, doc["cohen_macaulay"]) == (0, "", True)
         assert doc["matching"] == dict(zip(a_side, b_side))
         assert doc["poset"] == render_preorder(Preorder.chain(16), a_side)
@@ -482,7 +490,7 @@ class TestGraphCommands:
         _, out, _ = run(
             capsys, "graph", "linres", "--edges", "a-b,b-c,c-d", "--parts", "a,c|b,d"
         )
-        assert parse_document(out)["value"] is True
+        assert json.loads(out)["value"] is True
 
     @pytest.mark.parametrize("command", ["cm-bipartite", "linres"])
     @pytest.mark.parametrize(
@@ -528,9 +536,9 @@ class TestGraphCommands:
 
     def test_dim_gens_and_poset(self, capsys):
         _, out, _ = run(capsys, "graph", "dim", "--gens", "v^2, v*w, w^2")
-        assert parse_document(out)["value"] == 3
+        assert json.loads(out)["value"] == 3
         _, out, _ = run(capsys, "graph", "dim", "--poset", "n=2; pairs: v<=w")
-        assert parse_document(out)["value"] == 3
+        assert json.loads(out)["value"] == 3
 
     def test_dim_poset_rejects_non_poset(self, capsys):
         code, _, err = run(
@@ -546,7 +554,7 @@ class TestGraphCommands:
             "--input",
             "A: a,c | B: b,d | edges: a-b, b-c, c-d",
         )
-        assert code == 0 and parse_document(out)["cohen_macaulay"] is True
+        assert code == 0 and json.loads(out)["cohen_macaulay"] is True
 
     def test_letterplace(self, capsys):
         _, out, _ = run(
@@ -558,7 +566,7 @@ class TestGraphCommands:
             "--q",
             "n=2; pairs: v<=w",
         )
-        doc = parse_document(out)
+        doc = json.loads(out)
         assert len(doc["generators"]) == 3
 
     def test_co_letterplace_full_hom(self, capsys):
@@ -572,7 +580,7 @@ class TestGraphCommands:
             "--depth",
             "1",
         )
-        assert len(parse_document(out)["generators"]) == 3
+        assert len(json.loads(out)["generators"]) == 3
 
     def test_co_letterplace_downset_violation(self, capsys):
         code, _, err = run(
@@ -632,7 +640,7 @@ class TestGraphCommands:
 
     def test_dual(self, capsys):
         _, out, _ = run(capsys, "graph", "dual", "--gens", "a*b, b*c, c*d")
-        assert parse_document(out)["generators"] == ["b*d", "b*c", "a*c"]
+        assert json.loads(out)["generators"] == ["b*d", "b*c", "a*c"]
 
     def test_dim_of_huge_pure_powers_finishes(self):
         proc = subprocess.run(
@@ -644,7 +652,7 @@ class TestGraphCommands:
             env={**os.environ, "PYTHONPATH": str(Path(ordkit.__file__).parents[1])},
         )
         assert (proc.returncode, proc.stderr) == (0, "")
-        assert parse_document(proc.stdout)["value"] == 10000000000
+        assert json.loads(proc.stdout)["value"] == 10000000000
 
     def test_co_letterplace_of_one_map_on_sixteen_points_finishes(self):
         proc = subprocess.run(
@@ -657,26 +665,30 @@ class TestGraphCommands:
             env={**os.environ, "PYTHONPATH": str(Path(ordkit.__file__).parents[1])},
         )
         assert (proc.returncode, proc.stderr) == (0, "")
-        doc = parse_document(proc.stdout)
+        doc = json.loads(proc.stdout)
         assert len(doc["vars"]) == 256 and doc["generators"] == ["*".join(f"p{i}.0" for i in range(16))]
 
     def test_dim_and_dual_of_the_zero_variable_unit_ideal(self, capsys):
         code, out, err = run(capsys, "graph", "dim", "--gens", "1")
         assert (code, err) == (0, "")
-        assert parse_document(out) == {"kind": "quotient-dimension", "value": 0}
+        assert json.loads(out) == {"kind": "quotient-dimension", "value": 0}
         code, out, err = run(capsys, "graph", "dual", "--gens", "1")
         assert (code, err) == (0, "")
-        assert parse_document(out) == {
+        assert json.loads(out) == {
             "exponents": [], "generators": [], "kind": "ideal", "text": "", "vars": []
         }
 
     def test_dim_of_the_unit_ideal_in_two_variables(self, capsys):
         code, out, err = run(capsys, "graph", "dim", "--gens", "vars: x,y; 1")
         assert (code, err) == (0, "")
-        assert parse_document(out) == {"kind": "quotient-dimension", "value": 0}
+        assert json.loads(out) == {"kind": "quotient-dimension", "value": 0}
 
 
 class TestGaloisCommand:
+    def test_negative_truncation_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "galois", "check", "--truncation", "-1", "--left", "id", "--right", "id")
+        assert (code, out, err) == (2, "", "parse error: truncation must be a natural number\n")
+
     def test_ceiling_pair_holds(self, capsys):
         _, out, _ = run(
             capsys,
@@ -689,7 +701,7 @@ class TestGaloisCommand:
             "--right",
             "double",
         )
-        doc = parse_document(out)
+        doc = json.loads(out)
         assert doc["holds"] is True and doc["truncation"] == 10
 
     def test_doubling_left_with_floor_fails(self, capsys):
@@ -704,7 +716,7 @@ class TestGaloisCommand:
             "--right",
             "floor-half",
         )
-        assert parse_document(out)["holds"] is False
+        assert json.loads(out)["holds"] is False
 
     def test_explicit_value_lists(self, capsys):
         _, out, _ = run(
@@ -718,7 +730,7 @@ class TestGaloisCommand:
             "--right",
             "0,1,2",
         )
-        assert parse_document(out)["holds"] is True
+        assert json.loads(out)["holds"] is True
 
 
 class TestContract:
@@ -812,7 +824,7 @@ class TestContract:
         f = tmp_path / "p.txt"
         f.write_text("n=2; pairs: v<=w\n")
         code, out, _ = run(capsys, "preorder", "upsets", "--file", str(f))
-        assert code == 0 and parse_document(out)["count"] == 3
+        assert code == 0 and json.loads(out)["count"] == 3
 
     def test_domain_error_single_line_prefix(self, capsys):
         code, _, err = run(capsys, "preorder", "enumerate", "--n", "9", "--count")

@@ -12,7 +12,7 @@ from ordkit.digraphs import (
     count_digraph_homs,
     digraph_of_preorder,
     hom_paths,
-    paths_up_to_length,
+    iter_paths,
     reachability_preorder,
 )
 from ordkit.errors import OrdkitError
@@ -67,17 +67,17 @@ class TestCompose:
 
 class TestPaths:
     def test_parallel_arrow_digraph_has_nine_paths(self, triangle):
-        found = paths_up_to_length(triangle, 2)
+        found = list(iter_paths(triangle, 2))
         assert len(found) == 9
         assert words(found) == sorted(
             ["1_0", "1_1", "1_2", "e", "f", "g", "h", "eg", "fg"]
         )
 
     def test_complete_set_equals_bounded_set_on_acyclic(self, triangle):
-        assert words(all_paths(triangle)) == words(paths_up_to_length(triangle, 5))
+        assert words(all_paths(triangle)) == words(iter_paths(triangle, 5))
 
     def test_single_vertex_no_edges(self):
-        assert len(paths_up_to_length(Digraph(1, ()), 3)) == 1
+        assert len(list(iter_paths(Digraph(1, ()), 3))) == 1
 
     def test_cycle_makes_complete_request_fail(self):
         loop = Digraph(2, (Edge(0, 1, "u"), Edge(1, 0, "v")))

@@ -35,13 +35,10 @@ from ordkit.digraphs import (
     Digraph,
     Edge,
     all_paths,
-    count_hom_paths,
     count_paths,
     hom_paths,
-    iter_hom_paths,
     iter_paths,
     path_rows,
-    paths_up_to_length,
 )
 from ordkit.edgerings import BipartiteGraph, is_cm_bipartite, letterplace
 from ordkit.errors import OrdkitError
@@ -336,19 +333,25 @@ class TestPathListings:
     """The streamed listings and their counts against the layer-by-layer growth of every path."""
 
     def check_every_listing(self, q, limits):
+        """Every bound with neither endpoint, both, the source only and the target only."""
         for limit in limits:
-            expected = oracle_outcome(
+            every = oracle_outcome(
                 lambda: oracles.all_paths(q) if limit is None else oracles.paths_up_to_length(q, limit)
             )
-            assert listing_outcome(lambda: count_paths(q, limit), lambda: list(iter_paths(q, limit))) == expected
-            listed = lambda: all_paths(q) if limit is None else paths_up_to_length(q, limit)
-            assert oracle_outcome(listed) == expected
-            for a, b in itertools.product(range(q.n), repeat=2):
-                expected = oracle_outcome(lambda: oracles.hom_paths(q, a, b, limit))
+            if limit is None:
+                assert oracle_outcome(lambda: all_paths(q)) == every
+            for source, target in itertools.product((None, *range(q.n)), repeat=2):
+                expected = every
+                if every[0] == "ok":
+                    kept = [p for p in every[1] if source in (None, p.start) and target in (None, p.end)]
+                    expected = "ok", kept
                 outcome = listing_outcome(
-                    lambda: count_hom_paths(q, a, b, limit), lambda: list(iter_hom_paths(q, a, b, limit))
+                    lambda: count_paths(q, limit, source, target), lambda: list(iter_paths(q, limit, source, target))
                 )
-                assert outcome == expected == oracle_outcome(lambda: hom_paths(q, a, b, limit))
+                assert outcome == expected
+                if None not in (source, target):
+                    assert expected == oracle_outcome(lambda: oracles.hom_paths(q, source, target, limit))
+                    assert expected == oracle_outcome(lambda: hom_paths(q, source, target, limit))
 
     def test_seeded_random_multigraphs(self):
         rng = random.Random(61)
@@ -380,13 +383,15 @@ class TestPathListings:
         q = Digraph(2, (Edge(0, 1, "u"), Edge(1, 0, "v")))
         for count, message in [
             (lambda: count_paths(q), "directed cycle found"),
-            (lambda: count_hom_paths(q, 0, 1), "directed cycle found"),
+            (lambda: count_paths(q, None, 0, 1), "directed cycle found"),
             (lambda: count_paths(q, -1), "negative length bound"),
-            (lambda: count_hom_paths(q, 0, 1, -1), "negative length bound"),
+            (lambda: count_paths(q, -1, 0, 1), "negative length bound"),
+            (lambda: count_paths(q, -1, 5), "negative length bound"),
         ]:
             with pytest.raises(OrdkitError, match=f"^digraph-paths.paths: {message}"):
                 count()
-        assert count_hom_paths(q, 0, 5, 3) == 0 and list(iter_hom_paths(q, 0, 5, 3)) == []
+        for source, target in ((0, 5), (5, None), (None, -1)):
+            assert count_paths(q, 3, source, target) == 0 and list(iter_paths(q, 3, source, target)) == []
         empty = Digraph(0, ())
         assert count_paths(empty) == count_paths(empty, 3) == 0 and all_paths(empty) == oracles.all_paths(empty) == []
 
@@ -702,9 +707,9 @@ class TestRowFunctions:
                 expected = {"paths": self.path_dicts(iter_paths(q, limit), names)}
                 assert document_text({"paths": path_rows(q, names, limit)}) == dumped(expected)
             a, b = rng.randrange(n), rng.randrange(n)
-            for source, target in ((a, b), (a, a), (b, a)):
+            for source, target in ((a, b), (a, a), (b, a), (a, None), (None, b)):
                 for limit in (None, 0, 2):
-                    expected = {"paths": self.path_dicts(iter_hom_paths(q, source, target, limit), names)}
+                    expected = {"paths": self.path_dicts(iter_paths(q, limit, source, target), names)}
                     written = document_text({"paths": path_rows(q, names, limit, source, target)})
                     assert written == dumped(expected)
 
@@ -727,7 +732,7 @@ class TestRowFunctions:
             else:
                 source, target = names.index(options[1]), names.index(options[3])
                 limit = int(options[5]) if len(options) > 4 else None
-                paths = list(iter_hom_paths(q, source, target, limit))
+                paths = list(iter_paths(q, limit, source, target))
                 kind = "hom-paths"
             expected = {"count": len(paths), "kind": kind, "paths": self.path_dicts(paths, names)}
             assert run_cli("digraph", command, "--input", text, *options) == dumped(expected), (text, options)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from ordkit.textio import (
     document_text,
     parse_bipartite,
     parse_digraph,
-    parse_document,
     parse_graph,
     parse_int_tuples,
     parse_matrices,
@@ -410,7 +410,7 @@ class TestDocuments:
     def test_byte_identical_round_trip(self):
         doc = {"kind": "preorder", "n": 2, "points": ["v", "w"], "pairs": [["v", "w"]]}
         text = document_text(doc)
-        assert document_text(parse_document(text)) == text
+        assert document_text(json.loads(text)) == text
 
     def test_canonical_key_order(self):
         assert document_text({"b": 1, "a": 2}) == '{\n  "a": 2,\n  "b": 1\n}\n'
@@ -428,7 +428,7 @@ class TestDocuments:
     )
     def test_round_trip_any_document(self, doc):
         text = document_text(doc)
-        assert document_text(parse_document(text)) == text
+        assert document_text(json.loads(text)) == text
 
 
 # One input per ParseError message of the five section grammars, plus the

@@ -9,6 +9,7 @@ from ordkit import relations
 from ordkit.errors import OrdkitError
 from ordkit.relations import Preorder, classify, enumerate_preorders, refines, up_sets
 from ordkit.topology import (
+    FiniteTopology,
     enumerate_topologies,
     from_preorder,
     is_t0,
@@ -97,11 +98,26 @@ def _seeded_families(count, seed=24):
         yield sorted(family, key=lambda _: rng.random()), n
 
 
+def _near_topologies(count, seed=26):
+    """Random masks on 1..9 points, mostly with the empty and full sets, partly
+    closed by random pairwise unions and meets, so many miss a few closures."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        full = (1 << n) - 1
+        family = {rng.randrange(full + 1) for _ in range(rng.randint(1, 2 * n))}
+        family |= {mask for mask in (0, full) if rng.random() < 0.95}
+        for _ in range(rng.randint(0, 6 * n)):
+            u, v = rng.sample(sorted(family), 2) if len(family) > 1 else (0, 0)
+            family.add(u | v if rng.random() < 0.5 else u & v)
+        yield sorted(family, key=lambda _: rng.random()), n
+
+
 class TestValidateAgainstPairwiseScan:
     def test_seeded_families_give_the_same_verdict_and_message(self):
         # A named pair may differ from the scan's first one, but it must be a real witness.
         verdicts = []
-        for family, n in _seeded_families(3000):
+        for family, n in itertools.chain(_seeded_families(3000), _near_topologies(2000)):
             ours, theirs = _verdict(validate, family, n), _verdict(oracles.validate, family, n)
             verdicts.append(ours)
             found = WITNESS.fullmatch(str(ours))
@@ -112,8 +128,8 @@ class TestValidateAgainstPairwiseScan:
             u, v = (sum(1 << int(x) for x in text.split(",") if x) for text in found.group(2, 3))
             meet_or_join = u & v if found[1] == "intersection" else u | v
             assert u in family and v in family and meet_or_join not in family
-        assert sum(isinstance(ours, str) for ours in verdicts) > 1000
-        assert sum(not isinstance(ours, str) for ours in verdicts) > 1000
+        assert sum(isinstance(ours, str) for ours in verdicts) > 2000
+        assert sum(not isinstance(ours, str) for ours in verdicts) > 2000
 
     def test_every_up_set_family_on_up_to_four_points_is_accepted(self):
         for n in range(1, 5):
@@ -186,6 +202,14 @@ class TestToPreorder:
                 u = minimal_open(t, x)
                 assert u in t.opens and u >> x & 1
                 assert all(u & ~mask == 0 for mask in t.opens if mask >> x & 1)
+        rng = random.Random(29)
+        for _ in range(200):
+            n = rng.randint(1, 16)
+            p = Preorder.from_pairs(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(n, 3 * n))])
+            t = validate(up_sets(p), n)
+            assert [minimal_open(t, x) for x in range(n)] == [oracles.minimal_open(t, x) for x in range(n)]
+        uncovered = FiniteTopology(2, (0, 1))  # not a topology: no open holds point 1
+        assert minimal_open(uncovered, 1) == oracles.minimal_open(uncovered, 1) == 3
 
 
 class TestRoundTrips:
